@@ -56,6 +56,16 @@ def _load(args):
         raise _CliFailure(2, f"cannot read map document: {exc}") from exc
 
 
+def _load_valid(args):
+    """Load the map and its seed cycles; an invalid map fails with exit 1
+    and its validation report, before any derived adjacency is used."""
+    m, cycles = _load(args)
+    report = validate_map(m)
+    if report:
+        raise _CliFailure(1, "invalid map:\n" + "\n".join(report))
+    return m, cycles
+
+
 def _resolve_cap(args) -> int:
     if args.cap is not None:
         return args.cap
@@ -75,7 +85,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    m, cycles = _load(args)
+    m, cycles = _load_valid(args)
     if not cycles:
         raise _CliFailure(2, "input document has no seed cycles")
     cover = check_cover(m, cycles)
@@ -103,9 +113,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    m, cycles = _load(args)
+    m, cycles = _load_valid(args)
     if not cycles:
         raise _CliFailure(2, "input document has no seed cycles")
+    if args.iterations < 0:
+        raise _CliFailure(2, "--iterations must be >= 0")
     cover = check_cover(m, cycles)
     try:
         steps = grow(m, cover, iterations=args.iterations, rng_seed=args.seed)
@@ -130,7 +142,7 @@ def cmd_grow(args) -> int:
 
 
 def cmd_check(args) -> int:
-    m, cycles = _load(args)
+    m, cycles = _load_valid(args)
     if not cycles:
         raise _CliFailure(2, "input document has no seed cycles")
     cap = _resolve_cap(args)
@@ -142,7 +154,7 @@ def cmd_check(args) -> int:
         try:
             with open(args.covers, "r", encoding="utf-8") as fh:
                 injected = tuple(check_cover(m, c) for c in json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
             raise _CliFailure(2, f"cannot read covers file: {exc}") from exc
     reports = [
         check_closure_completeness(m, cover, cap=cap),
@@ -161,11 +173,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_export(args) -> int:
-    m, cycles = _load(args)
+    m, cycles = _load_valid(args)
+    cover = check_cover(m, cycles) if cycles else None
     if args.format == "json":
         payload = canonical_json(map_to_document(m, cycles=cycles or None)) + "\n"
     else:
-        cover = check_cover(m, cycles) if cycles else None
         labelling = labelling_from_cover(m, cover) if cover else None
         payload = to_dot(m, labelling=labelling, cover=cover)
     if args.out:
@@ -217,9 +229,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except NoHamiltonian as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,25 +4,33 @@ by the alternate-halves reselection step.
 One step on a cover with ``n`` cycles: split every cycle into its two
 alternating halves, pick one half per cycle (``2**n`` selections), keep the
 chosen halves plus every off-cover edge, and read the resulting 2-regular
-edge set off as a new cover.  Iterating to a fixed point converges onto a
-finite set of covers; the conjecture that this set is *all* even cycle
-covers of the map is machine-checked in :mod:`cubicmaps.oracles`.
+edge set off as a new cover.  Iterating to a fixed point gives the seed's
+Kempe class: the connected component that holds the seed in the graph
+joining each cover to the labellings it induces (each labelling to the
+three covers its class pairs form).  Some maps have more than one class,
+so the closure need not hold every even cycle cover; the bundled
+``two_kempe_classes.json`` map is one, and 80 of the 1500 acceptance-corpus
+maps are others.
+
+Covers and labellings are computed on integer edge masks (bit i stands for
+``m.edge_ids[i]``): a half selection is one mask, and a cover is fully
+determined by its on-edge mask.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from typing import Iterable
 
-from .errors import IterationLimit, NotTwoRegular
+from .errors import IterationLimit
 from .incidence import (
     Cover,
     Cycle,
     CubicMap,
     canonical_cover,
-    canonical_cycle,
     check_cover,
+    edge_mask,
+    mask_cover,
 )
 
 DEFAULT_CLOSURE_LIMIT = 10**6
@@ -48,81 +56,31 @@ def half_choices(n: int) -> list[tuple[str, ...]]:
     return list(product("ab", repeat=n))
 
 
-class _Engine:
-    """Bitmask walker over one map's edge set (internal fast path)."""
+def _half_split(m: CubicMap, cover: Cover) -> tuple[list[tuple[int, int]], int]:
+    """Per-cycle (a-half, b-half) edge masks of a canonical cover, and the
+    mask of its off-cover edges."""
+    pairs = []
+    on = 0
+    for cycle in cover:
+        a, b = (edge_mask(m, half) for half in alternating_halves(cycle))
+        pairs.append((a, b))
+        on |= a | b
+    return pairs, ((1 << m.n_edges) - 1) ^ on
 
-    def __init__(self, m: CubicMap):
-        self.edge_pos = {e: i for i, e in enumerate(m.edge_ids)}
-        self.pos_edge = list(m.edge_ids)
-        self.vert_edges = m.vertex_edges
-        self.edge_verts = m.edge_vertices
-        self.full_mask = (1 << m.n_edges) - 1
 
-    def mask(self, edges: Iterable[int]) -> int:
-        pos = self.edge_pos
-        out = 0
-        for e in edges:
-            out |= 1 << pos[e]
-        return out
-
-    def decompose(self, on_mask: int) -> Cover:
-        """Cycles of a 2-regular edge set given as a bitmask."""
-        pos = self.edge_pos
-        edge_verts = self.edge_verts
-        remaining = on_mask
-        cycles = []
-        while remaining:
-            bit = remaining & -remaining
-            e0 = self.pos_edge[bit.bit_length() - 1]
-            remaining ^= bit
-            seq = [e0]
-            p, q = edge_verts[e0]
-            cur, prev = q, e0
-            while cur != p:
-                nxt = 0
-                for e2 in self.vert_edges[cur]:
-                    if e2 != prev and (on_mask >> pos[e2]) & 1:
-                        nxt = e2
-                        break
-                if not nxt:
-                    raise NotTwoRegular(f"walk stuck at vertex {cur}")
-                seq.append(nxt)
-                remaining &= ~(1 << pos[nxt])
-                prev = nxt
-                a, b = edge_verts[nxt]
-                cur = a if b == cur else b
-            cycles.append(canonical_cycle(seq))
-        return tuple(sorted(cycles, key=lambda c: (len(c), c)))
-
-    def halves(self, cover: Cover) -> tuple[list[tuple[int, int]], int]:
-        """Per-cycle (a-half, b-half) masks and the off-edge mask."""
-        pairs = []
-        covered = 0
-        for cycle in cover:
-            a, b = alternating_halves(cycle)
-            am, bm = self.mask(a), self.mask(b)
-            pairs.append((am, bm))
-            covered |= am | bm
-        return pairs, self.full_mask ^ covered
-
-    def successors(self, cover: Cover) -> dict[frozenset[int], Cover]:
-        """New covers from every half selection, keyed by edge-set form."""
-        pairs, off = self.halves(cover)
-        out: dict[frozenset[int], Cover] = {}
-        for choice in product((0, 1), repeat=len(pairs)):
-            on = off
-            for (am, bm), pick in zip(pairs, choice):
-                on |= bm if pick else am
-            new = self.decompose(on)
-            key = frozenset(self.mask(c) for c in new)
-            out.setdefault(key, new)
-        return out
+def _selections(pairs: list[tuple[int, int]], base: int = 0) -> list[int]:
+    """``base`` plus one half of every pair, for all ``2**len(pairs)``
+    picks in :func:`half_choices` order."""
+    out = [base]
+    for a, b in pairs:
+        out = [s | h for s in out for h in (a, b)]
+    return out
 
 
 def successor_covers(m: CubicMap, cover: Cover) -> set[Cover]:
     """All covers produced by one reselection step, deduplicated."""
-    cover = check_cover(m, cover)
-    return set(_Engine(m).successors(cover).values())
+    pairs, off = _half_split(m, check_cover(m, cover))
+    return {mask_cover(m, on) for on in _selections(pairs, off)}
 
 
 def cover_closure(
@@ -130,22 +88,21 @@ def cover_closure(
 ) -> tuple[Cover, ...]:
     """Closure of the seed cover under the reselection step.
 
-    Worklist iteration with a canonical seen-set; stops when no new cover
-    appears.  The result contains the seed and is sorted canonically, so
-    it is independent of traversal schedule.  Raises IterationLimit if
-    the closure exceeds ``limit`` covers (pathological input, far beyond
-    anything a desk-scale map produces).
+    Worklist iteration keyed by each cover's on-edge mask: a selection is
+    decomposed into cycles only when its mask is new.  Stops when no new
+    cover appears.  The result contains the seed and is sorted
+    canonically, so it is independent of traversal schedule.  Raises
+    IterationLimit if the closure exceeds ``limit`` covers (pathological
+    input, far beyond anything a desk-scale map produces).
     """
     seed = check_cover(m, seed)
-    eng = _Engine(m)
-    seed_key = frozenset(eng.mask(c) for c in seed)
-    seen: dict[frozenset[int], Cover] = {seed_key: seed}
-    queue: deque[Cover] = deque([seed])
+    seen = {edge_mask(m, (e for cycle in seed for e in cycle)): seed}
+    queue = deque([seed])
     while queue:
-        cover = queue.popleft()
-        for key, new in eng.successors(cover).items():
-            if key not in seen:
-                seen[key] = new
+        pairs, off = _half_split(m, queue.popleft())
+        for on in _selections(pairs, off):
+            if on not in seen:
+                seen[on] = new = mask_cover(m, on)
                 queue.append(new)
                 if len(seen) > limit:
                     raise IterationLimit(f"closure exceeded {limit} covers")

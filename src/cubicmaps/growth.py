@@ -219,11 +219,13 @@ def rewrite_cover(cover: Cover, event: InsertionEvent, new_map: CubicMap) -> Cov
     return canonical_cover(cycles)
 
 
-def _insertion_pairs(m: CubicMap):
+def face_pairs(m: CubicMap):
+    """Every (face, edge, edge) with both edges on the face, unordered,
+    equal pairs included."""
     for face in m.face_ids:
         edges = sorted(m.face_edge_sets[face])
-        for a_idx, a in enumerate(edges):
-            for b in edges[a_idx:]:
+        for i, a in enumerate(edges):
+            for b in edges[i:]:
                 yield face, a, b
 
 
@@ -245,11 +247,11 @@ def _draw_insertion(m, covers, rng, step):
             scanned = True
             if not any(
                 compatible_cover(covers, a, b) is not None
-                for _, a, b in _insertion_pairs(m)
+                for _, a, b in face_pairs(m)
             ):
                 from .serialize import map_to_document
 
-                first_face, a, b = next(iter(_insertion_pairs(m)))
+                first_face, a, b = next(iter(face_pairs(m)))
                 raise NoCompatibleInsertion(
                     "no face/edge pair admits a compatible cover",
                     witness={

@@ -100,37 +100,35 @@ class CubicMap:
         return {e: j for j, e in enumerate(self.edge_ids)}
 
     @cached_property
-    def _vertex_row(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.vertex_ids)}
+    def _col_ends(self) -> list[tuple[int, int]]:
+        """Edge column -> its two endpoint vertex ids."""
+        return [self.edge_vertices[e] for e in self.edge_ids]
+
+    @cached_property
+    def _vertex_cols(self) -> dict[int, tuple[int, ...]]:
+        """Vertex id -> the columns of its incident edges."""
+        col = self._edge_col
+        return {v: tuple(col[e] for e in es) for v, es in self.vertex_edges.items()}
 
     @cached_property
     def edge_vertices(self) -> dict[int, tuple[int, int]]:
         """Edge id -> its two endpoint vertex ids (sorted)."""
-        out = {}
-        for j, e in enumerate(self.edge_ids):
-            rows = np.flatnonzero(self.vertex_edge[:, j])
-            if len(rows) != 2:
-                raise ValueError(f"edge {e} has {len(rows)} endpoints")
-            out[e] = (self.vertex_ids[rows[0]], self.vertex_ids[rows[1]])
+        out = _row_members(self.vertex_edge.T, self.edge_ids, self.vertex_ids)
+        for e, vs in out.items():
+            if len(vs) != 2:
+                raise ValueError(f"edge {e} has {len(vs)} endpoints")
         return out
 
     @cached_property
     def vertex_edges(self) -> dict[int, tuple[int, ...]]:
         """Vertex id -> its incident edge ids (sorted)."""
-        out = {}
-        for i, v in enumerate(self.vertex_ids):
-            cols = np.flatnonzero(self.vertex_edge[i])
-            out[v] = tuple(self.edge_ids[j] for j in cols)
-        return out
+        return _row_members(self.vertex_edge, self.vertex_ids, self.edge_ids)
 
     @cached_property
     def face_edge_sets(self) -> dict[int, frozenset[int]]:
         """Internal face id -> the set of edges on its boundary."""
-        out = {}
-        for i, f in enumerate(self.face_ids):
-            cols = np.flatnonzero(self.face_edge[i])
-            out[f] = frozenset(self.edge_ids[j] for j in cols)
-        return out
+        out = _row_members(self.face_edge, self.face_ids, self.edge_ids)
+        return {f: frozenset(es) for f, es in out.items()}
 
     @cached_property
     def edge_internal_faces(self) -> dict[int, tuple[int, ...]]:
@@ -160,6 +158,15 @@ class CubicMap:
             f"CubicMap(V={self.n_vertices}, E={self.n_edges}, "
             f"F_internal={self.n_internal_faces})"
         )
+
+
+def _row_members(matrix, row_ids, col_ids) -> dict[int, tuple[int, ...]]:
+    """Row id -> the ids of the columns where that row is non-zero, sorted."""
+    out: dict[int, list[int]] = {r: [] for r in row_ids}
+    rows, cols = np.nonzero(matrix)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        out[row_ids[i]].append(col_ids[j])
+    return {r: tuple(members) for r, members in out.items()}
 
 
 # ---------------------------------------------------------------------
@@ -246,9 +253,67 @@ def canonical_cycle(seq: Sequence[int]) -> Cycle:
     return rot
 
 
-def _walk_closed(m: CubicMap, edges: frozenset[int]) -> list[int]:
-    """Order ``edges`` into one closed walk; every touched vertex must have
-    induced degree exactly 2.  Raises NotACycle otherwise."""
+def edge_mask(m: CubicMap, edges: Iterable[int]) -> int:
+    """Edge set as an integer: bit i stands for ``m.edge_ids[i]``."""
+    col = m._edge_col
+    mask = 0
+    for e in edges:
+        mask |= 1 << col[e]
+    return mask
+
+
+def mask_edges(m: CubicMap, mask: int) -> tuple[int, ...]:
+    """The sorted edge ids of an edge mask."""
+    ids = m.edge_ids
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+def walk_cycles(m: CubicMap, mask: int) -> list[list[int]]:
+    """Split an edge mask into its cycles, each as a list of columns.
+
+    The only cycle walker of the package.  Every vertex the mask touches
+    must meet exactly two of its edges; callers check that (or, like the
+    closure, build only such masks).  Each cycle is walked from its lowest
+    column, and cycles come out in order of their lowest column.
+    """
+    ends, cols = m._col_ends, m._vertex_cols
+    cycles = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        c = low.bit_length() - 1
+        start, cur = ends[c]
+        walk = [c]
+        while cur != start:
+            for c in cols[cur]:
+                if mask >> c & 1:
+                    break
+            mask ^= 1 << c
+            walk.append(c)
+            a, b = ends[c]
+            cur = b if a == cur else a
+        cycles.append(walk)
+    return cycles
+
+
+def mask_cover(m: CubicMap, mask: int) -> Cover:
+    """The canonical cover formed by a 2-regular spanning edge mask."""
+    ids = m.edge_ids
+    return canonical_cover([ids[c] for c in walk] for walk in walk_cycles(m, mask))
+
+
+def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
+    """Order an unordered edge set into its canonical closed-walk sequence.
+
+    Every touched vertex must have induced degree exactly 2 and the edges
+    must form one cycle; raises NotACycle otherwise.
+    """
+    edges = frozenset(edge_set)
     if not edges:
         raise NotACycle("empty edge set")
     unknown = edges - m.all_edges
@@ -261,24 +326,10 @@ def _walk_closed(m: CubicMap, edges: frozenset[int]) -> list[int]:
     for v, es in inc.items():
         if len(es) != 2:
             raise NotACycle(f"vertex {v} has induced degree {len(es)}")
-
-    start = min(edges)
-    p, q = m.edge_vertices[start]
-    seq = [start]
-    cur = q
-    while cur != p:
-        a, b = inc[cur]
-        nxt = b if a == seq[-1] else a
-        seq.append(nxt)
-        cur = m.other_endpoint(nxt, cur)
-    if len(seq) != len(edges):
+    walks = walk_cycles(m, edge_mask(m, edges))
+    if len(walks) > 1:
         raise NotACycle("edge set is disconnected")
-    return seq
-
-
-def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
-    """Order an unordered edge set into its canonical closed-walk sequence."""
-    return canonical_cycle(_walk_closed(m, frozenset(edge_set)))
+    return canonical_cycle([m.edge_ids[c] for c in walks[0]])
 
 
 def face_boundary(m: CubicMap, face: int) -> Cycle:
@@ -287,7 +338,7 @@ def face_boundary(m: CubicMap, face: int) -> Cycle:
     if edges is None:
         raise MalformedFace(f"face {face} is not a row of the face-edge matrix")
     try:
-        return canonical_cycle(_walk_closed(m, edges))
+        return order_cycle(m, edges)
     except NotACycle as exc:
         raise MalformedFace(f"face {face}: {exc}") from exc
 
@@ -348,34 +399,7 @@ def decompose_two_factor(m: CubicMap, on_edges: Iterable[int]) -> Cover:
         v, d = min(bad.items())
         raise NotTwoRegular(f"vertex {v} has degree {d} (expected 2)")
 
-    remaining = set(on)
-    cycles = []
-    while remaining:
-        walk = _component(m, remaining)
-        cycles.append(canonical_cycle(walk))
-        remaining.difference_update(walk)
-    return tuple(sorted(cycles, key=lambda c: (len(c), c)))
-
-
-def _component(m: CubicMap, remaining: set[int]) -> list[int]:
-    # The cycle through the lowest remaining edge; degree-2 at every vertex
-    # makes the walk deterministic.
-    start = min(remaining)
-    seq = [start]
-    p, q = m.edge_vertices[start]
-    cur, prev_e = q, start
-    while cur != p:
-        nxt = None
-        for e in m.vertex_edges[cur]:
-            if e != prev_e and e in remaining:
-                nxt = e
-                break
-        if nxt is None:
-            raise NotTwoRegular(f"walk stuck at vertex {cur}")
-        seq.append(nxt)
-        prev_e = nxt
-        cur = m.other_endpoint(nxt, cur)
-    return seq
+    return mask_cover(m, edge_mask(m, on))
 
 
 def canonical_cover(cover: Iterable[Sequence[int]]) -> Cover:

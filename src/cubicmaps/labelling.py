@@ -8,12 +8,11 @@ their class sets coincide; the canonical form sorts the three classes.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Sequence
 
-from .closure import alternating_halves
+from .closure import _half_split, _selections
 from .errors import NoHamiltonian
-from .incidence import Cover, CubicMap, check_cover, off_edges
+from .incidence import Cover, CubicMap, check_cover, mask_edges
 
 Labelling = tuple[tuple[int, ...], ...]
 
@@ -23,6 +22,22 @@ def canonical_labelling(classes: Iterable[Iterable[int]]) -> Labelling:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
+def _label_masks(m: CubicMap, cover: Cover) -> set[tuple[int, int, int]]:
+    """Every labelling a canonical cover induces, as a sorted triple of
+    class masks.  A selection and its complement give the same labelling,
+    so the first cycle keeps its a-half."""
+    pairs, off = _half_split(m, cover)
+    on = ((1 << m.n_edges) - 1) ^ off
+    return {
+        tuple(sorted((picked, on ^ picked, off)))
+        for picked in _selections(pairs[1:], pairs[0][0])
+    }
+
+
+def _to_labellings(m: CubicMap, masks: Iterable[tuple[int, int, int]]) -> list[Labelling]:
+    return [canonical_labelling(mask_edges(m, c) for c in classes) for classes in masks]
+
+
 def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
     """The labelling induced by a cover with its canonical half split.
 
@@ -30,14 +45,12 @@ def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
     class being the off-cover edges.  Proper by construction: every
     vertex meets one edge of each half of its cycle plus its off edge.
     """
-    cover = check_cover(m, cover)
-    a: set[int] = set()
-    b: set[int] = set()
-    for cycle in cover:
-        ha, hb = alternating_halves(cycle)
+    pairs, off = _half_split(m, check_cover(m, cover))
+    a = b = 0
+    for ha, hb in pairs:
         a |= ha
         b |= hb
-    return canonical_labelling([a, b, off_edges(m, cover)])
+    return canonical_labelling(mask_edges(m, c) for c in (a, b, off))
 
 
 def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
@@ -47,26 +60,15 @@ def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
     independently, so a cover with n cycles yields up to 2**(n-1)
     distinct labellings after the role quotient.
     """
-    cover = check_cover(m, cover)
-    halves = [alternating_halves(c) for c in cover]
-    c_class = off_edges(m, cover)
-    out: set[Labelling] = set()
-    for choice in product((0, 1), repeat=len(halves)):
-        a: set[int] = set()
-        b: set[int] = set()
-        for (ha, hb), pick in zip(halves, choice):
-            a |= hb if pick else ha
-            b |= ha if pick else hb
-        out.add(canonical_labelling([a, b, c_class]))
-    return out
+    return set(_to_labellings(m, _label_masks(m, check_cover(m, cover))))
 
 
 def closure_labellings(m: CubicMap, covers: Iterable[Cover]) -> tuple[Labelling, ...]:
     """All distinct labellings induced by a set of covers, sorted."""
-    out: set[Labelling] = set()
+    masks: set[tuple[int, int, int]] = set()
     for cover in covers:
-        out |= labellings_from_cover(m, cover)
-    return tuple(sorted(out))
+        masks |= _label_masks(m, check_cover(m, cover))
+    return tuple(sorted(_to_labellings(m, masks)))
 
 
 def validate_labelling(m: CubicMap, lab: Sequence[Iterable[int]]) -> bool:

@@ -52,16 +52,20 @@ def map_from_document(doc: Document) -> tuple[CubicMap, tuple[tuple[int, ...], .
 
     No structural validation happens here: invalid maps must load so the
     validator can report on them.  Raises ValueError on malformed JSON
-    shape only.
+    shape only: a missing key, a matrix that is not a 2-D array of small
+    non-negative integers, or cycles that are not lists of integers.
     """
     try:
         ve = doc["vertex_edge"]
         fe = doc["face_edge"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"map document missing key: {exc}") from exc
-    cycles = doc.get("cycles") or []
-    m = CubicMap(ve, fe)
-    return m, tuple(tuple(int(e) for e in cycle) for cycle in cycles)
+    try:
+        m = CubicMap(ve, fe)
+        cycles = tuple(tuple(int(e) for e in cycle) for cycle in doc.get("cycles") or [])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed map document: {exc}") from exc
+    return m, cycles
 
 
 def load_map(path) -> tuple[CubicMap, tuple[tuple[int, ...], ...]]:

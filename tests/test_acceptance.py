@@ -29,6 +29,7 @@ whose Hamiltonian cycles all lie in a class that growth did not reach, so
 criterion 9 fails there until growth keeps a Hamiltonian class.
 """
 
+import hashlib
 import json
 import random
 import shutil
@@ -67,6 +68,7 @@ from cubicmaps.fixtures import (
     theta_seed,
     wheel_rotation,
 )
+from cubicmaps.serialize import canonical_json, trace_documents
 
 CORPUS_SEEDS = range(1, 101)
 CORPUS_ITERATIONS = 14  # theta grows from 3 to 45 edges
@@ -76,6 +78,12 @@ SPLIT_MAPS = 80  # maps whose oracle incidence graph has more than one class
 FIRST_SPLIT = (3, 7)  # (seed, step)
 NON_HAMILTONIAN_MAPS = 53  # maps where the oracle finds no single-cycle cover
 HOLTON_MCKAY_VERTICES = 38  # smallest non-Hamiltonian 3-connected cubic planar graph
+
+# sha256 of the trace bytes ``write_trace`` writes, runs concatenated in
+# seed order.  Any change to growth, closure, labellings or serialisation
+# output moves these.
+CORPUS_TRACE_SHA256 = "de809581cb7017f0c957a3e79d122da4351bdcfb6f1c5e365da26f924ed72e3e"
+CUBE_TRACE_SHA256 = "5c26e55c8a8f452de3587a3e6dbf2e06e5ffe218df678e59b412c6b899f74b55"
 
 
 @dataclass
@@ -89,6 +97,7 @@ class CorpusEntry:
     hamiltonian: tuple
     oracle_covers: tuple
     oracle_labellings: tuple
+    growth_step: object
 
     @cached_property
     def oracle_classes(self) -> list[tuple[frozenset, tuple]]:
@@ -174,10 +183,34 @@ def corpus():
                     hamiltonian=st.hamiltonian,
                     oracle_covers=all_even_cycle_covers(st.map),
                     oracle_labellings=all_proper_labellings(st.map),
+                    growth_step=st,
                 )
             )
     elapsed = time.perf_counter() - t0
     return entries, elapsed
+
+
+def _trace_sha256(runs) -> str:
+    """sha256 of the trace lines of each run in turn (each run is a list
+    of growth steps)."""
+    h = hashlib.sha256()
+    for steps in runs:
+        for doc in trace_documents(steps):
+            h.update((canonical_json(doc) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_corpus_trace_digest(corpus):
+    entries, _ = corpus
+    runs = {}
+    for e in entries:
+        runs.setdefault(e.seed, []).append(e.growth_step)
+    assert _trace_sha256(runs.values()) == CORPUS_TRACE_SHA256
+
+
+def test_cube_trace_digest():
+    steps = grow(cube_map(), cube_seed(), iterations=20, rng_seed=1)
+    assert _trace_sha256([steps]) == CUBE_TRACE_SHA256
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:

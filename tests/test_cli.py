@@ -92,6 +92,10 @@ def test_grow_zero_iterations(theta_file, tmp_path):
     assert len(trace.read_text().splitlines()) == 1
 
 
+def test_grow_rejects_negative_iterations(theta_file):
+    assert main(["grow", "--input", theta_file, "--iterations", "-1"]) == 2
+
+
 def test_grow_traces_are_byte_identical(theta_file, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for path in (a, b):
@@ -132,6 +136,12 @@ def test_check_planted_covers_refute_conjecture_two(theta_file, tmp_path, capsys
     assert witness.exists()
 
 
+def test_check_malformed_covers_file(theta_file, tmp_path):
+    covers = tmp_path / "covers.json"
+    covers.write_text("[5]")
+    assert main(["check", "--input", theta_file, "--covers", str(covers)]) == 2
+
+
 def test_check_cap_exceeded(tmp_path):
     import random
 
@@ -166,3 +176,64 @@ def test_export_dot(theta_file, capsys):
     dot = capsys.readouterr().out
     assert dot.count("v1 -- v2") == 3
     assert "class=" in dot  # labelling derived from the seed cover
+
+
+def _add_third_endpoint(doc):
+    # first vertex row not on edge 1 gains it: edge 1 now has 3 endpoints
+    row = next(r for r in doc["vertex_edge"] if r[0] == 0)
+    row[0] = 1
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _stray_face_one(doc):
+    row = doc["face_edge"][0]
+    row[row.index(0)] = 1
+
+
+# name -> (mutation of the bundled cube document, expected exit code of
+# validate, enumerate, grow, check, export --format json, export --format dot)
+MUTATIONS = {
+    "edge_with_three_endpoints": (_add_third_endpoint, (1, 1, 1, 1, 1, 1)),
+    "vertex_edge_entry_two": (lambda d: d["vertex_edge"][0].__setitem__(0, 2), (1, 1, 1, 1, 1, 1)),
+    "negative_entry": (lambda d: d["vertex_edge"][0].__setitem__(0, -1), (2, 2, 2, 2, 2, 2)),
+    "ragged_rows": (lambda d: d["vertex_edge"][0].pop(), (2, 2, 2, 2, 2, 2)),
+    "stray_face_one": (_stray_face_one, (1, 1, 1, 1, 1, 1)),
+    "dropped_face_row": (lambda d: d["face_edge"].pop(), (1, 1, 1, 1, 1, 1)),
+    "empty_matrices": (lambda d: d.update(vertex_edge=[[]], face_edge=[[]]), (1, 1, 1, 1, 1, 1)),
+    "missing_key": (lambda d: d.pop("face_edge"), (2, 2, 2, 2, 2, 2)),
+    "unknown_cycle_edge": (lambda d: d["cycles"][0].__setitem__(0, 99), (0, 1, 1, 1, 1, 1)),
+    "cycles_not_a_cover": (_set("cycles", [[1, 9, 10, 11]]), (0, 1, 1, 1, 1, 1)),
+    "empty_cycle": (_set("cycles", [[]]), (0, 1, 1, 1, 1, 1)),
+    "cycles_not_lists": (_set("cycles", 5), (2, 2, 2, 2, 2, 2)),
+    "no_cycles": (_set("cycles", []), (0, 2, 2, 2, 0, 0)),
+}
+
+COMMANDS = (
+    ["validate"],
+    ["enumerate"],
+    ["grow", "--iterations", "2"],
+    ["check"],
+    ["export", "--format", "json"],
+    ["export", "--format", "dot"],
+)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutated_documents_keep_exit_code_contract(name, tmp_path, monkeypatch, capsys):
+    mutate, expected = MUTATIONS[name]
+    doc = json.loads(fixture_path("cube.json").read_text())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)  # witness files default to the working directory
+    got = tuple(
+        main([*command, "--input", str(path), "--out", str(tmp_path / "out")])
+        for command in COMMANDS
+    )
+    assert got == expected
+    assert "Traceback" not in "".join(capsys.readouterr())
