@@ -70,7 +70,10 @@ def _resolve_cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    try:
+        return int(env) if env else DEFAULT_ORACLE_CAP
+    except ValueError:
+        raise _CliFailure(2, f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def cmd_validate(args) -> int:

@@ -1,19 +1,21 @@
 """Even-cycle-cover closure: from one seed cover, find all covers reachable
-by the alternate-halves reselection step.
+by the alternate-halves reselection step, and the labellings they induce.
 
 One step on a cover with ``n`` cycles: split every cycle into its two
 alternating halves, pick one half per cycle (``2**n`` selections), keep the
 chosen halves plus every off-cover edge, and read the resulting 2-regular
-edge set off as a new cover.  Iterating to a fixed point gives the seed's
-Kempe class: the connected component that holds the seed in the graph
-joining each cover to the labellings it induces (each labelling to the
-three covers its class pairs form).  Some maps have more than one class,
-so the closure need not hold every even cycle cover; the bundled
-``two_kempe_classes.json`` map is one, and 80 of the 1500 acceptance-corpus
-maps are others.
+edge set off as a new cover.  A selection and its complement form one
+labelling, so the worklist tries ``2**(n-1)`` picks (the first cycle on its
+a-half) with both pairings each, and records each pick as a labelling.
+Iterating to a fixed point gives the seed's Kempe class: the connected
+component that holds the seed in the graph joining each cover to the
+labellings it induces (each labelling to the three covers its class pairs
+form).  Some maps have more than one class, so the closure need not hold
+every even cycle cover; the bundled ``two_kempe_classes.json`` map is one,
+and 80 of the 1500 acceptance-corpus maps are others.
 
 Covers and labellings are computed on integer edge masks (bit i stands for
-``m.edge_ids[i]``): a half selection is one mask, and a cover is fully
+``m.edge_ids[i]``): a half pick is one mask, and a cover is fully
 determined by its on-edge mask.
 """
 
@@ -27,7 +29,6 @@ from .incidence import (
     Cover,
     Cycle,
     CubicMap,
-    canonical_cover,
     check_cover,
     edge_mask,
     mask_cover,
@@ -56,63 +57,74 @@ def half_choices(n: int) -> list[tuple[str, ...]]:
     return list(product("ab", repeat=n))
 
 
-def _half_split(m: CubicMap, cover: Cover) -> tuple[list[tuple[int, int]], int]:
+def _half_split(m: CubicMap, cover: Cover) -> tuple[list[tuple[int, int]], int, int]:
     """Per-cycle (a-half, b-half) edge masks of a canonical cover, and the
-    mask of its off-cover edges."""
+    masks of its on-cover and off-cover edges."""
     pairs = []
     on = 0
     for cycle in cover:
         a, b = (edge_mask(m, half) for half in alternating_halves(cycle))
         pairs.append((a, b))
         on |= a | b
-    return pairs, ((1 << m.n_edges) - 1) ^ on
+    return pairs, on, ((1 << m.n_edges) - 1) ^ on
 
 
-def _selections(pairs: list[tuple[int, int]], base: int = 0) -> list[int]:
-    """``base`` plus one half of every pair, for all ``2**len(pairs)``
-    picks in :func:`half_choices` order."""
-    out = [base]
-    for a, b in pairs:
-        out = [s | h for s in out for h in (a, b)]
-    return out
+def _picks(pairs: list[tuple[int, int]]) -> list[int]:
+    """The ``2**(n-1)`` half picks in which the first cycle keeps its a-half,
+    in :func:`half_choices` order; a pick and ``on ^ pick`` are one labelling."""
+    picks = [pairs[0][0]]
+    for a, b in pairs[1:]:
+        picks = [p | h for p in picks for h in (a, b)]
+    return picks
 
 
 def successor_covers(m: CubicMap, cover: Cover) -> set[Cover]:
     """All covers produced by one reselection step, deduplicated."""
-    pairs, off = _half_split(m, check_cover(m, cover))
-    return {mask_cover(m, on) for on in _selections(pairs, off)}
+    pairs, on, off = _half_split(m, check_cover(m, cover))
+    return {mask_cover(m, s | off) for p in _picks(pairs) for s in (p, on ^ p)}
+
+
+class Closure(tuple):
+    """The sorted covers of a closure, carrying the ``map`` it was built on
+    and its covers' labellings as sorted class-mask triples (``label_masks``)."""
 
 
 def cover_closure(
     m: CubicMap, seed: Cover, limit: int = DEFAULT_CLOSURE_LIMIT
-) -> tuple[Cover, ...]:
+) -> Closure:
     """Closure of the seed cover under the reselection step.
 
-    Worklist iteration keyed by each cover's on-edge mask: a selection is
-    decomposed into cycles only when its mask is new.  Stops when no new
-    cover appears.  The result contains the seed and is sorted
-    canonically, so it is independent of traversal schedule.  Raises
-    IterationLimit if the closure exceeds ``limit`` covers (pathological
-    input, far beyond anything a desk-scale map produces).
+    Worklist iteration keyed by each cover's on-edge mask: each pick of a
+    cover is recorded as a labelling, and its two successor masks are
+    decomposed into cycles only when new.  Stops when no new cover
+    appears.  The result contains the seed and is sorted canonically, so
+    it is independent of traversal schedule.  Raises IterationLimit if the
+    closure exceeds ``limit`` covers (pathological input, far beyond
+    anything a desk-scale map produces).
     """
     seed = check_cover(m, seed)
     seen = {edge_mask(m, (e for cycle in seed for e in cycle)): seed}
+    labels = set()
     queue = deque([seed])
     while queue:
-        pairs, off = _half_split(m, queue.popleft())
-        for on in _selections(pairs, off):
-            if on not in seen:
-                seen[on] = new = mask_cover(m, on)
-                queue.append(new)
-                if len(seen) > limit:
-                    raise IterationLimit(f"closure exceeded {limit} covers")
-    return tuple(sorted(seen.values()))
+        pairs, on, off = _half_split(m, queue.popleft())
+        for p in _picks(pairs):
+            labels.add(tuple(sorted((p, on ^ p, off))))
+            for s in (p | off, (on ^ p) | off):
+                if s not in seen:
+                    seen[s] = new = mask_cover(m, s)
+                    queue.append(new)
+                    if len(seen) > limit:
+                        raise IterationLimit(f"closure exceeded {limit} covers")
+    closure = Closure(sorted(seen.values()))
+    closure.map, closure.label_masks = m, labels
+    return closure
 
 
 __all__ = [
     "DEFAULT_CLOSURE_LIMIT",
+    "Closure",
     "alternating_halves",
-    "canonical_cover",
     "cover_closure",
     "half_choices",
     "successor_covers",

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from importlib import resources
 
-import numpy as np
-
 from .fourcolour import RotationMap
-from .incidence import Cover, CubicMap
+from .incidence import Cover, CubicMap, incidence_matrix
 
 
 def fixture_path(name: str):
@@ -16,15 +14,11 @@ def fixture_path(name: str):
 
 
 def _map_from_incidence(vertex_edges: dict, face_edges: dict, n_edges: int) -> CubicMap:
-    ve = np.zeros((len(vertex_edges), n_edges), dtype=np.uint8)
-    for v, edges in vertex_edges.items():
-        for e in edges:
-            ve[v - 1, e - 1] = 1
-    fe = np.zeros((len(face_edges), n_edges), dtype=np.uint8)
-    for f, edges in face_edges.items():
-        for e in edges:
-            fe[f - 1, e - 1] = 1
-    return CubicMap(ve, fe)
+    edges = range(1, n_edges + 1)
+    return CubicMap(
+        incidence_matrix(sorted(vertex_edges), edges, vertex_edges),
+        incidence_matrix(sorted(face_edges), edges, face_edges),
+    )
 
 
 def theta_map() -> CubicMap:

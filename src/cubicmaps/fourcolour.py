@@ -13,10 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InconsistentLabelling, InvalidRotation
-from .incidence import CubicMap
+from .incidence import CubicMap, incidence_matrix
 from .labelling import canonical_labelling
 
 OUTER = "outer"
@@ -278,15 +276,10 @@ def blow_up(rmap: RotationMap) -> tuple[CubicMap, BlowUpMapping]:
 
     vertex_ids = tuple(range(1, counter))
     edge_ids = tuple(sorted(new_endpoints))
-    col = {e: j for j, e in enumerate(edge_ids)}
-    ve = np.zeros((len(vertex_ids), len(edge_ids)), dtype=np.uint8)
-    for c, rot in new_rotations.items():
-        for e in rot:
-            ve[c - 1, col[e]] = 1
-    fe = np.zeros((len(internal), len(edge_ids)), dtype=np.uint8)
-    for fid, idx in enumerate(internal):
-        for e in _orbit_key(new_orbits[idx]):
-            fe[fid, col[e]] = 1
+    ve = incidence_matrix(vertex_ids, edge_ids, new_rotations)
+    fe = incidence_matrix(
+        range(len(internal)), edge_ids, [_orbit_key(new_orbits[i]) for i in internal]
+    )
     cubic = CubicMap(ve, fe, vertex_ids=vertex_ids, edge_ids=edge_ids)
 
     mapping = BlowUpMapping(

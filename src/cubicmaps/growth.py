@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .closure import cover_closure
 from .errors import (
     EdgeNotOnFace,
@@ -33,6 +31,7 @@ from .incidence import (
     canonical_cover,
     check_cover,
     face_boundary_walk,
+    incidence_matrix,
     order_cycle,
 )
 from .labelling import Labelling, closure_labellings, hamiltonian_covers
@@ -155,8 +154,8 @@ def insert_edge(
     minted = set(range(m.next_ids.edge, next_edge))
     new_edge_ids = tuple(sorted((set(m.edge_ids) - {e1, e2}) | minted))
     new_face_ids = m.face_ids + (new_face,)
-    ve = _matrix(new_vertex_ids, new_edge_ids, vertex_edges)
-    fe = _matrix(new_face_ids, new_edge_ids, face_sets)
+    ve = incidence_matrix(new_vertex_ids, new_edge_ids, vertex_edges)
+    fe = incidence_matrix(new_face_ids, new_edge_ids, face_sets)
     new_map = CubicMap(
         ve,
         fe,
@@ -174,15 +173,6 @@ def insert_edge(
         new_face=new_face,
     )
     return new_map, event
-
-
-def _matrix(row_ids, col_ids, incidence):
-    col_of = {e: j for j, e in enumerate(col_ids)}
-    mat = np.zeros((len(row_ids), len(col_ids)), dtype=np.uint8)
-    for i, r in enumerate(row_ids):
-        for e in incidence[r]:
-            mat[i, col_of[e]] = 1
-    return mat
 
 
 def compatible_cover(covers: Iterable[Cover], e1: int, e2: int) -> Cover | None:

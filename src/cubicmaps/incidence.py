@@ -160,6 +160,16 @@ class CubicMap:
         )
 
 
+def incidence_matrix(row_ids, col_ids, members) -> np.ndarray:
+    """0/1 uint8 matrix: row r has a 1 in the column of each edge of ``members[r]``."""
+    col_of = {e: j for j, e in enumerate(col_ids)}
+    mat = np.zeros((len(row_ids), len(col_ids)), dtype=np.uint8)
+    for i, r in enumerate(row_ids):
+        for e in members[r]:
+            mat[i, col_of[e]] = 1
+    return mat
+
+
 def _row_members(matrix, row_ids, col_ids) -> dict[int, tuple[int, ...]]:
     """Row id -> the ids of the columns where that row is non-zero, sorted."""
     out: dict[int, list[int]] = {r: [] for r in row_ids}

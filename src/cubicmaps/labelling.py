@@ -4,13 +4,17 @@ A labelling is stored as three unordered edge classes: around every
 vertex the three incident edges must fall in three different classes.
 Role names carry no meaning, so two labellings are equal exactly when
 their class sets coincide; the canonical form sorts the three classes.
+
+Each half pick of a cover is one labelling (picked halves, other halves,
+off edges).  ``closure_labellings`` reads the ones ``cover_closure``
+recorded; the single-cover functions split the cover they are given.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .closure import _half_split, _selections
+from .closure import Closure, _half_split, _picks
 from .errors import NoHamiltonian
 from .incidence import Cover, CubicMap, check_cover, mask_edges
 
@@ -20,18 +24,6 @@ Labelling = tuple[tuple[int, ...], ...]
 def canonical_labelling(classes: Iterable[Iterable[int]]) -> Labelling:
     """Quotient by role permutation: the three classes sorted."""
     return tuple(sorted(tuple(sorted(c)) for c in classes))
-
-
-def _label_masks(m: CubicMap, cover: Cover) -> set[tuple[int, int, int]]:
-    """Every labelling a canonical cover induces, as a sorted triple of
-    class masks.  A selection and its complement give the same labelling,
-    so the first cycle keeps its a-half."""
-    pairs, off = _half_split(m, cover)
-    on = ((1 << m.n_edges) - 1) ^ off
-    return {
-        tuple(sorted((picked, on ^ picked, off)))
-        for picked in _selections(pairs[1:], pairs[0][0])
-    }
 
 
 def _to_labellings(m: CubicMap, masks: Iterable[tuple[int, int, int]]) -> list[Labelling]:
@@ -45,12 +37,9 @@ def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
     class being the off-cover edges.  Proper by construction: every
     vertex meets one edge of each half of its cycle plus its off edge.
     """
-    pairs, off = _half_split(m, check_cover(m, cover))
-    a = b = 0
-    for ha, hb in pairs:
-        a |= ha
-        b |= hb
-    return canonical_labelling(mask_edges(m, c) for c in (a, b, off))
+    pairs, on, off = _half_split(m, check_cover(m, cover))
+    a = sum(ha for ha, _ in pairs)  # the a-halves are disjoint
+    return canonical_labelling(mask_edges(m, c) for c in (a, on ^ a, off))
 
 
 def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
@@ -60,15 +49,21 @@ def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
     independently, so a cover with n cycles yields up to 2**(n-1)
     distinct labellings after the role quotient.
     """
-    return set(_to_labellings(m, _label_masks(m, check_cover(m, cover))))
+    pairs, on, off = _half_split(m, check_cover(m, cover))
+    masks = {tuple(sorted((p, on ^ p, off))) for p in _picks(pairs)}
+    return set(_to_labellings(m, masks))
 
 
-def closure_labellings(m: CubicMap, covers: Iterable[Cover]) -> tuple[Labelling, ...]:
-    """All distinct labellings induced by a set of covers, sorted."""
-    masks: set[tuple[int, int, int]] = set()
-    for cover in covers:
-        masks |= _label_masks(m, check_cover(m, cover))
-    return tuple(sorted(_to_labellings(m, masks)))
+def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:
+    """All distinct labellings induced by the covers of a closure, sorted.
+
+    ``closure`` must be what :func:`cover_closure` returned for ``m``; its
+    recorded labellings are read, and its covers are not checked or split
+    again.  Raises TypeError for a plain tuple or another map's closure.
+    """
+    if not isinstance(closure, Closure) or closure.map is not m:
+        raise TypeError("closure_labellings needs the result of cover_closure on this map")
+    return tuple(sorted(_to_labellings(m, closure.label_masks)))
 
 
 def validate_labelling(m: CubicMap, lab: Sequence[Iterable[int]]) -> bool:

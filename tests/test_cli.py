@@ -153,11 +153,17 @@ def test_check_cap_exceeded(tmp_path):
     assert main(["check", "--input", str(path)]) == 4
 
 
-def test_check_cap_env_override(tmp_path, monkeypatch, theta_file):
+def test_check_cap_env_override(tmp_path, monkeypatch, theta_file, capsys):
     monkeypatch.setenv("CCG_ORACLE_CAP", "2")
     assert main(["check", "--input", theta_file]) == 4
     monkeypatch.setenv("CCG_ORACLE_CAP", "45")
     assert main(["check", "--input", theta_file]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("CCG_ORACLE_CAP", "abc")
+    assert main(["check", "--input", theta_file]) == 2
+    out, err = capsys.readouterr()
+    assert "CCG_ORACLE_CAP" in err
+    assert "Traceback" not in out + err
 
 
 def test_export_json_round_trip(cube_file, tmp_path):

@@ -5,11 +5,13 @@ from cubicmaps import (
     all_proper_labellings,
     cover_closure,
     dedup_labellings,
+    grow,
     hamiltonian_covers,
     labelling_from_cover,
     labellings_from_cover,
     validate_labelling,
 )
+from cubicmaps.fixtures import cube_map, cube_seed
 from cubicmaps.labelling import closure_labellings
 
 
@@ -84,3 +86,30 @@ def test_closure_labellings_match_oracle_on_cube(cube, cube_cover):
     got = closure_labellings(cube, cover_closure(cube, cube_cover))
     assert got == all_proper_labellings(cube)
     assert len(got) == 4
+
+
+def test_closure_labellings_rejects_anything_but_its_closure(cube, theta, cube_cover, theta_cover):
+    closure = cover_closure(cube, cube_cover)
+    with pytest.raises(TypeError):
+        closure_labellings(cube, tuple(closure))
+    with pytest.raises(TypeError):
+        closure_labellings(cube, cover_closure(theta, theta_cover))
+    with pytest.raises(TypeError):
+        closure_labellings(cube_map(), closure)  # an equal map, but not the same one
+
+
+def _grown_cube():
+    # final map of cube growth seed 13 x 20: 48 vertices, 72 edges, above
+    # the 45-edge oracle cap
+    step = grow(cube_map(), cube_seed(), 20, 13)[-1]
+    return step.map, step.cover
+
+
+@pytest.mark.parametrize(
+    "source", [lambda: (cube_map(), cube_seed()), _grown_cube], ids=["cube", "grown_cube"]
+)
+def test_closure_labellings_are_the_union_over_covers(source):
+    m, seed = source()
+    closure = cover_closure(m, seed)
+    union = set().union(*(labellings_from_cover(m, c) for c in closure))
+    assert closure_labellings(m, closure) == tuple(sorted(union))
