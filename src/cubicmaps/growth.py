@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Iterable
 
 from .closure import cover_closure
@@ -35,6 +36,7 @@ from .incidence import (
     order_cycle,
 )
 from .labelling import Labelling, closure_labellings, hamiltonian_covers
+from .serialize import map_to_document
 
 
 @dataclass(frozen=True)
@@ -84,74 +86,56 @@ def insert_edge(
 ) -> tuple[CubicMap, InsertionEvent]:
     """Insert a new edge across ``face`` between targets ``e1`` and ``e2``.
 
-    Distinct targets: each splits in two at a new vertex (H-insertion) and
-    the face splits along the new edge.  Equal targets: the edge splits in
-    three and the new edge cuts off a bigon face.  Old target ids retire;
-    every segment gets a fresh id.
+    Each target retires and its segments get fresh ids: two per target
+    for distinct targets (H-insertion), three for equal targets, then the
+    new edge ``g``.  The face boundary is walked from ``e1``'s entry
+    vertex, subdividing the targets and placing the new vertices ``x`` and
+    then ``y`` at their inner points.  The walk from ``x`` to ``y`` plus
+    ``g`` becomes ``new_face`` (a bigon for equal targets); the rest plus
+    ``g`` keeps ``face``.
     """
     walk = face_boundary_walk(m, face)
     walk_edges = [e for _, e in walk]
-    if e1 not in walk_edges:
-        raise EdgeNotOnFace(f"edge {e1} not on face {face}")
-    if e2 not in walk_edges:
-        raise EdgeNotOnFace(f"edge {e2} not on face {face}")
-    k = len(walk)
+    for e in (e1, e2):
+        if e not in walk_edges:
+            raise EdgeNotOnFace(f"edge {e} not on face {face}")
     x = m.next_ids.vertex
     y = x + 1
     new_face = m.next_ids.face
+    fresh = count(m.next_ids.edge)
+    segments = 3 if e1 == e2 else 2
+    split = {e: tuple(islice(fresh, segments)) for e in dict.fromkeys((e1, e2))}
+    g = next(fresh)
 
     vertex_edges = {v: set(es) for v, es in m.vertex_edges.items()}
+    vertex_edges[x], vertex_edges[y] = {g}, {g}
     face_sets = {f: set(es) for f, es in m.face_edge_sets.items()}
+    for old, segs in split.items():
+        for v in m.edge_vertices[old]:
+            vertex_edges[v].remove(old)
+        for edges in face_sets.values():
+            if old in edges:
+                edges.remove(old)
+                edges.update(segs)
 
-    if e1 != e2:
-        i, j = walk_edges.index(e1), walk_edges.index(e2)
-        p1, q1 = walk[i][0], walk[(i + 1) % k][0]
-        p2, q2 = walk[j][0], walk[(j + 1) % k][0]
-        e1a, e1b, e2a, e2b, g = range(m.next_ids.edge, m.next_ids.edge + 5)
-        split = {e1: (e1a, e1b), e2: (e2a, e2b)}
-
-        for vertex, old, new in ((p1, e1, e1a), (q1, e1, e1b), (p2, e2, e2a), (q2, e2, e2b)):
-            vertex_edges[vertex].remove(old)
-            vertex_edges[vertex].add(new)
-        vertex_edges[x] = {e1a, e1b, g}
-        vertex_edges[y] = {e2a, e2b, g}
-
-        for f in face_sets:
-            if f == face:
-                continue
-            if e1 in face_sets[f]:
-                face_sets[f].remove(e1)
-                face_sets[f].update(split[e1])
-            if e2 in face_sets[f]:
-                face_sets[f].remove(e2)
-                face_sets[f].update(split[e2])
-        arc_fwd = [walk_edges[t % k] for t in range(i + 1, i + 1 + (j - i - 1) % k)]
-        arc_bwd = [walk_edges[t % k] for t in range(j + 1, j + 1 + (i - j - 1) % k)]
-        face_sets[face] = {e1a, e2b, g, *arc_bwd}
-        face_sets[new_face] = {e1b, e2a, g, *arc_fwd}
-        next_edge = g + 1
-    else:
-        i = walk_edges.index(e1)
-        p, q = walk[i][0], walk[(i + 1) % k][0]
-        s1, s2, s3, g = range(m.next_ids.edge, m.next_ids.edge + 4)
-        split = {e1: (s1, s2, s3)}
-
-        for vertex, new in ((p, s1), (q, s3)):
-            vertex_edges[vertex].remove(e1)
-            vertex_edges[vertex].add(new)
-        vertex_edges[x] = {s1, s2, g}
-        vertex_edges[y] = {s2, s3, g}
-
-        for f in face_sets:
-            if f != face and e1 in face_sets[f]:
-                face_sets[f].remove(e1)
-                face_sets[f].update((s1, s2, s3))
-        face_sets[face] = (face_sets[face] - {e1}) | {s1, s3, g}
-        face_sets[new_face] = {s2, g}
-        next_edge = g + 1
+    i = walk_edges.index(e1)
+    inner = iter((x, y))
+    cut = []  # (entry vertex, edge) around the subdivided boundary
+    for v, e in walk[i:] + walk[:i]:
+        segs = split.get(e, (e,))
+        points = [v, *islice(inner, len(segs) - 1), m.other_endpoint(e, v)]
+        for k, seg in enumerate(segs):
+            # re-adding an untouched edge to its own ends changes nothing
+            vertex_edges[points[k]].add(seg)
+            vertex_edges[points[k + 1]].add(seg)
+            cut.append((points[k], seg))
+    entries = [v for v, _ in cut]
+    ix, iy = entries.index(x), entries.index(y)
+    face_sets[new_face] = {e for _, e in cut[ix:iy]} | {g}
+    face_sets[face] = {e for _, e in cut[iy:] + cut[:ix]} | {g}
 
     new_vertex_ids = m.vertex_ids + (x, y)
-    minted = set(range(m.next_ids.edge, next_edge))
+    minted = set(range(m.next_ids.edge, g + 1))
     new_edge_ids = tuple(sorted((set(m.edge_ids) - {e1, e2}) | minted))
     new_face_ids = m.face_ids + (new_face,)
     ve = incidence_matrix(new_vertex_ids, new_edge_ids, vertex_edges)
@@ -162,7 +146,7 @@ def insert_edge(
         vertex_ids=new_vertex_ids,
         edge_ids=new_edge_ids,
         face_ids=new_face_ids,
-        next_ids=NextIds(vertex=y + 1, edge=next_edge, face=new_face + 1),
+        next_ids=NextIds(vertex=y + 1, edge=g + 1, face=new_face + 1),
     )
     event = InsertionEvent(
         face=face,
@@ -239,8 +223,6 @@ def _draw_insertion(m, covers, rng, step):
                 compatible_cover(covers, a, b) is not None
                 for _, a, b in face_pairs(m)
             ):
-                from .serialize import map_to_document
-
                 first_face, a, b = next(iter(face_pairs(m)))
                 raise NoCompatibleInsertion(
                     "no face/edge pair admits a compatible cover",

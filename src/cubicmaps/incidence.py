@@ -287,9 +287,10 @@ def walk_cycles(m: CubicMap, mask: int) -> list[list[int]]:
     """Split an edge mask into its cycles, each as a list of columns.
 
     The only cycle walker of the package.  Every vertex the mask touches
-    must meet exactly two of its edges; callers check that (or, like the
-    closure, build only such masks).  Each cycle is walked from its lowest
-    column, and cycles come out in order of their lowest column.
+    must meet exactly two of its edges; callers check that with
+    ``_degree_two_mask`` (or, like the closure, build only such masks).
+    Each cycle is walked from its lowest column, and cycles come out in
+    order of their lowest column.
     """
     ends, cols = m._col_ends, m._vertex_cols
     cycles = []
@@ -317,6 +318,31 @@ def mask_cover(m: CubicMap, mask: int) -> Cover:
     return canonical_cover([ids[c] for c in walk] for walk in walk_cycles(m, mask))
 
 
+def _degree_two_mask(
+    m: CubicMap, edges: Iterable[int], error: type[Exception], spanning: bool = False
+) -> int:
+    """Edge mask of an edge set in which every vertex meets exactly two edges.
+
+    The one degree check of the package.  Checks the vertices the edges
+    touch, or with ``spanning`` every vertex of the map in id order, and
+    raises ``error`` at the first unknown edge id or offending vertex.
+    """
+    col, ends = m._edge_col, m._col_ends
+    degree = dict.fromkeys(m.vertex_ids, 0) if spanning else {}
+    mask = 0
+    for e in edges:
+        c = col.get(e)
+        if c is None:
+            raise error(f"unknown edge id {e}")
+        mask |= 1 << c
+        for v in ends[c]:
+            degree[v] = degree.get(v, 0) + 1
+    for v, d in degree.items():
+        if d != 2:
+            raise error(f"vertex {v} meets {d} of the edges (expected 2)")
+    return mask
+
+
 def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
     """Order an unordered edge set into its canonical closed-walk sequence.
 
@@ -326,17 +352,7 @@ def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
     edges = frozenset(edge_set)
     if not edges:
         raise NotACycle("empty edge set")
-    unknown = edges - m.all_edges
-    if unknown:
-        raise NotACycle(f"unknown edge ids {sorted(unknown)}")
-    inc: dict[int, list[int]] = {}
-    for e in edges:
-        for v in m.edge_vertices[e]:
-            inc.setdefault(v, []).append(e)
-    for v, es in inc.items():
-        if len(es) != 2:
-            raise NotACycle(f"vertex {v} has induced degree {len(es)}")
-    walks = walk_cycles(m, edge_mask(m, edges))
+    walks = walk_cycles(m, _degree_two_mask(m, edges, NotACycle))
     if len(walks) > 1:
         raise NotACycle("edge set is disconnected")
     return canonical_cycle([m.edge_ids[c] for c in walks[0]])
@@ -356,31 +372,25 @@ def face_boundary(m: CubicMap, face: int) -> Cycle:
 def face_boundary_walk(m: CubicMap, face: int) -> list[tuple[int, int]]:
     """Boundary of ``face`` as (entry vertex, edge) pairs in walk order.
 
-    Edge ``i`` runs from the i-th entry vertex to the (i+1)-th; needed by
-    edge insertion, which must know walk direction through each target.
+    The walk follows the canonical boundary sequence.  The first edge is
+    entered at the vertex it shares with the last edge (the smaller one on
+    a bigon, where the two edges share both); every later edge is entered
+    at the far endpoint of the edge before it, so edge ``i`` runs from the
+    i-th entry vertex to the (i+1)-th.  Edge insertion reads the walk
+    direction through each target from it.
     """
     cyc = face_boundary(m, face)
-    if len(cyc) == 2:
-        a, b = sorted(m.edge_vertices[cyc[0]])
-        return [(a, cyc[0]), (b, cyc[1])]
+    v = min(set(m.edge_vertices[cyc[0]]) & set(m.edge_vertices[cyc[-1]]))
     pairs = []
-    for i, e in enumerate(cyc):
-        prev = cyc[i - 1]
-        shared = set(m.edge_vertices[e]) & set(m.edge_vertices[prev])
-        pairs.append((min(shared) if len(shared) > 1 else shared.pop(), e))
+    for e in cyc:
+        pairs.append((v, e))
+        v = m.other_endpoint(e, v)
     return pairs
 
 
 # ---------------------------------------------------------------------
 # Covers (sets of vertex-disjoint even cycles spanning all vertices)
 # ---------------------------------------------------------------------
-
-def cycle_vertices(m: CubicMap, cycle: Sequence[int]) -> frozenset[int]:
-    out = set()
-    for e in cycle:
-        out.update(m.edge_vertices[e])
-    return frozenset(out)
-
 
 def off_edges(m: CubicMap, cover: Cover) -> frozenset[int]:
     """Edges on no cycle of the cover: exactly V/2 of them for a valid cover."""
@@ -397,19 +407,7 @@ def decompose_two_factor(m: CubicMap, on_edges: Iterable[int]) -> Cover:
     set (NotTwoRegular otherwise).  Cycles come out canonical, sorted by
     (length, sequence).
     """
-    on = frozenset(on_edges)
-    degree = {v: 0 for v in m.vertex_ids}
-    for e in on:
-        if e not in m.all_edges:
-            raise NotTwoRegular(f"unknown edge id {e}")
-        for v in m.edge_vertices[e]:
-            degree[v] += 1
-    bad = {v: d for v, d in degree.items() if d != 2}
-    if bad:
-        v, d = min(bad.items())
-        raise NotTwoRegular(f"vertex {v} has degree {d} (expected 2)")
-
-    return mask_cover(m, edge_mask(m, on))
+    return mask_cover(m, _degree_two_mask(m, frozenset(on_edges), NotTwoRegular, spanning=True))
 
 
 def canonical_cover(cover: Iterable[Sequence[int]]) -> Cover:
@@ -427,7 +425,6 @@ def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
     cover = tuple(tuple(c) for c in cover)
     if not cover:
         raise InvalidCover("cover has no cycles")
-    seen_vertices: set[int] = set()
     cycles = []
     for cyc in cover:
         if len(set(cyc)) != len(cyc):
@@ -438,12 +435,11 @@ def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
             raise InvalidCover(f"cycle {cyc}: {exc}") from exc
         if len(ordered) % 2 != 0:
             raise InvalidCover(f"cycle {ordered} has odd length {len(ordered)}")
-        verts = cycle_vertices(m, ordered)
-        if verts & seen_vertices:
-            raise InvalidCover("cycles are not vertex-disjoint")
-        seen_vertices |= verts
         cycles.append(ordered)
-    if seen_vertices != set(m.vertex_ids):
-        missing = sorted(set(m.vertex_ids) - seen_vertices)
-        raise InvalidCover(f"vertices {missing} lie on no cycle")
+    on = set().union(*cycles)
+    if len(on) != sum(map(len, cycles)):
+        raise InvalidCover("cycles share an edge")
+    # Each cycle meets its own vertices twice, so a vertex meeting two
+    # edges of the union lies on exactly one cycle.
+    _degree_two_mask(m, on, InvalidCover, spanning=True)
     return canonical_cover(cycles)

@@ -26,8 +26,11 @@ def canonical_labelling(classes: Iterable[Iterable[int]]) -> Labelling:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _to_labellings(m: CubicMap, masks: Iterable[tuple[int, int, int]]) -> list[Labelling]:
-    return [canonical_labelling(mask_edges(m, c) for c in classes) for classes in masks]
+def _to_labellings(m: CubicMap, masks: set[tuple[int, int, int]]) -> list[Labelling]:
+    """Convert class-mask triples, each distinct class mask once: labellings
+    of one cover share its off mask, and closures reuse their halves."""
+    edges = {c: mask_edges(m, c) for c in set().union(*masks)}
+    return [canonical_labelling(edges[c] for c in classes) for classes in masks]
 
 
 def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:

@@ -78,14 +78,8 @@ def map_fingerprint(m: CubicMap) -> str:
     return hashlib.sha256(canonical_json(map_to_document(m)).encode()).hexdigest()
 
 
-def covers_to_lists(covers: Iterable[Cover], emap: dict[int, int] | None = None) -> list:
-    out = []
-    for cover in covers:
-        if emap is None:
-            out.append([list(c) for c in cover])
-        else:
-            out.append([[emap[e] for e in c] for c in cover])
-    return out
+def covers_to_lists(covers: Iterable[Cover], emap: dict[int, int]) -> list:
+    return [[[emap[e] for e in c] for c in cover] for cover in covers]
 
 
 def labelling_to_document(lab, emap: dict[int, int] | None = None) -> Document:

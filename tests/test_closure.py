@@ -12,7 +12,7 @@ from cubicmaps import (
     half_choices,
     successor_covers,
 )
-from cubicmaps.fixtures import theta_map
+from cubicmaps.fixtures import cube_map, tetrahedron_map, theta_map
 
 from conftest import random_insertion_walk
 
@@ -117,10 +117,27 @@ def test_canonical_cover_is_order_insensitive():
     assert a == b == ((1, 9, 10, 11), (3, 4, 5, 6))
 
 
-def test_invalid_seed_is_rejected(cube, theta):
+# one row per rejection check_cover makes: (map, cover)
+INVALID_COVERS = {
+    "empty_cover": ("cube", ()),
+    "repeated_edge": ("cube", ((1, 9, 10, 11, 9), (3, 4, 5, 6))),
+    "unknown_edge_id": ("cube", ((1, 9, 10, 11), (3, 4, 5, 42))),
+    "open_path": ("cube", ((1, 9, 10), (3, 4, 5, 6))),
+    "disconnected_cycle": ("cube", ((1, 9, 10, 11, 3, 4, 5, 6),)),
+    "odd_cycle": ("tetrahedron", ((1, 2, 3),)),
+    "cycles_share_an_edge": ("cube", ((1, 2, 3, 12), (5, 7, 10, 8), (1, 9, 10, 11))),
+    "cycles_share_an_edge_and_both_vertices": ("theta", ((1, 2), (2, 3))),
+    "same_cycle_twice": ("cube", ((1, 9, 10, 11), (1, 9, 10, 11), (3, 4, 5, 6))),
+    "vertex_on_no_cycle": ("cube", ((1, 9, 10, 11),)),
+}
+MAPS = {"cube": cube_map, "theta": theta_map, "tetrahedron": tetrahedron_map}
+
+
+@pytest.mark.parametrize("name", INVALID_COVERS)
+def test_invalid_seed_is_rejected(name):
+    map_name, cover = INVALID_COVERS[name]
+    m = MAPS[map_name]()
     with pytest.raises(InvalidCover):
-        cover_closure(cube, ((1, 9, 10, 11),))  # does not cover all vertices
+        check_cover(m, cover)
     with pytest.raises(InvalidCover):
-        cover_closure(theta, ((1, 2), (2, 3)))  # cycles share both vertices
-    with pytest.raises(InvalidCover):
-        check_cover(cube, ((1, 2, 3, 12), (5, 7, 10, 8), (1, 9, 10, 11)))
+        cover_closure(m, cover)

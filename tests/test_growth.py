@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,8 +17,11 @@ from cubicmaps import (
     rewrite_cover,
     validate_map,
 )
-from cubicmaps.fixtures import cube_map, cube_seed, theta_map, theta_seed
-from cubicmaps.serialize import trace_documents
+from cubicmaps.fixtures import cube_map, cube_seed, tetrahedron_map, theta_map, theta_seed
+from cubicmaps.growth import face_pairs
+from cubicmaps.serialize import canonical_json, map_to_document, trace_documents
+
+from conftest import random_insertion_walk
 
 
 def test_choose_insertion_is_deterministic(cube):
@@ -168,3 +172,38 @@ def test_grow_is_deterministic():
     assert trace_documents(a) == trace_documents(b)
     c = grow(theta_map(), theta_seed(), iterations=6, rng_seed=18)
     assert trace_documents(a) != trace_documents(c)
+
+
+# sha256 over ``insert_edge`` on every (face, a, b) of ``face_pairs``, both
+# orders when a != b, for the cube, theta, the tetrahedron and one grown map:
+# each new map's document and raw id registries plus every event field.
+INSERTION_SHA256 = "d1d67feba65d6b99ac31609f08d9ba8e75aceff47e0d617c34aa6943e82be1cd"
+
+
+def _insertion_sha256(maps) -> str:
+    h = hashlib.sha256()
+    for m in maps:
+        for face, a, b in face_pairs(m):
+            for e1, e2 in ((a, b), (b, a))[: 1 + (a != b)]:
+                m2, ev = insert_edge(m, face, e1, e2)
+                record = {
+                    "map": map_to_document(m2),
+                    "ids": [m2.vertex_ids, m2.edge_ids, m2.face_ids],
+                    "next": [m2.next_ids.vertex, m2.next_ids.edge, m2.next_ids.face],
+                    "event": [
+                        ev.face,
+                        ev.targets,
+                        ev.new_vertices,
+                        ev.new_edge,
+                        sorted(ev.split_edges.items()),
+                        ev.new_face,
+                    ],
+                }
+                h.update((canonical_json(record) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_insertion_digest():
+    grown, _ = random_insertion_walk(theta_map(), 8, random.Random(7))
+    maps = (cube_map(), theta_map(), tetrahedron_map(), grown)
+    assert _insertion_sha256(maps) == INSERTION_SHA256

@@ -65,6 +65,10 @@ def test_order_cycle_parallel_edges(theta):
 def test_order_cycle_rejects_open_path(cube):
     with pytest.raises(NotACycle):
         order_cycle(cube, {1, 9, 10})
+    with pytest.raises(NotACycle):
+        order_cycle(cube, {1, 9, 10, 42})  # closed only through an unknown id
+    with pytest.raises(NotACycle):
+        order_cycle(cube, {42})
 
 
 def test_order_cycle_rejects_disconnected_set(cube):
@@ -134,6 +138,10 @@ def test_decompose_rejects_non_two_regular(cube):
         decompose_two_factor(cube, {1, 2, 3, 4, 5, 6, 7})
     with pytest.raises(NotTwoRegular):
         decompose_two_factor(cube, set(cube.edge_ids))
+    with pytest.raises(NotTwoRegular):
+        decompose_two_factor(cube, {1, 9, 10, 11, 3, 4, 5, 42})
+    with pytest.raises(NotTwoRegular):
+        decompose_two_factor(cube, {1, 9, 10, 11, 3, 4, 5, 6, 42})
 
 
 def test_matrix_shape_properties_on_grown_maps():
