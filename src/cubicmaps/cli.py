@@ -35,7 +35,7 @@ from .serialize import (
     labelling_to_document,
     load_map,
     map_to_document,
-    renumber,
+    positional_ids,
     to_dot,
     write_trace,
 )
@@ -104,7 +104,7 @@ def cmd_enumerate(args) -> int:
         f"{len(labellings)} labellings"
     )
     if args.out:
-        _, _, emap, _ = renumber(m)
+        _, emap, _ = positional_ids(m)
         doc = {
             "covers": covers_to_lists(covers, emap),
             "labellings": [labelling_to_document(l, emap) for l in labellings],

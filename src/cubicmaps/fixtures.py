@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .fourcolour import RotationMap
-from .incidence import Cover, CubicMap, incidence_matrix
+from .incidence import Cover, CubicMap
 
 
 def fixture_path(name: str):
@@ -13,21 +13,12 @@ def fixture_path(name: str):
     return resources.files("cubicmaps").joinpath("data", name)
 
 
-def _map_from_incidence(vertex_edges: dict, face_edges: dict, n_edges: int) -> CubicMap:
-    edges = range(1, n_edges + 1)
-    return CubicMap(
-        incidence_matrix(sorted(vertex_edges), edges, vertex_edges),
-        incidence_matrix(sorted(face_edges), edges, face_edges),
-    )
-
-
 def theta_map() -> CubicMap:
     """Two vertices joined by three parallel edges: the smallest cubic
     planar map, and the canonical growth seed."""
-    return _map_from_incidence(
+    return CubicMap.from_membership(
         vertex_edges={1: (1, 2, 3), 2: (1, 2, 3)},
         face_edges={1: (1, 2), 2: (2, 3)},
-        n_edges=3,
     )
 
 
@@ -38,7 +29,7 @@ def theta_seed() -> Cover:
 def cube_map() -> CubicMap:
     """The cube drawn as an outer square (edges 1,2,3,12), an inner square
     (5,7,8,10) and four connecting edges; 5 internal quad faces."""
-    return _map_from_incidence(
+    return CubicMap.from_membership(
         vertex_edges={
             1: (1, 11, 12),
             2: (1, 2, 9),
@@ -56,7 +47,6 @@ def cube_map() -> CubicMap:
             4: (3, 4, 5, 6),
             5: (4, 8, 11, 12),
         },
-        n_edges=12,
     )
 
 
@@ -67,7 +57,7 @@ def cube_seed() -> Cover:
 
 def tetrahedron_map() -> CubicMap:
     """K4 drawn with an outer triangle (edges 1,2,3) around a hub."""
-    return _map_from_incidence(
+    return CubicMap.from_membership(
         vertex_edges={
             1: (1, 3, 4),
             2: (1, 2, 5),
@@ -79,7 +69,6 @@ def tetrahedron_map() -> CubicMap:
             2: (2, 5, 6),
             3: (3, 4, 6),
         },
-        n_edges=6,
     )
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InconsistentLabelling, InvalidRotation
-from .incidence import CubicMap, incidence_matrix
+from .incidence import CubicMap
 from .labelling import canonical_labelling
 
 OUTER = "outer"
@@ -274,13 +274,9 @@ def blow_up(rmap: RotationMap) -> tuple[CubicMap, BlowUpMapping]:
         idx = dart_to_new_orbit[(corner[(v, 0)], ring[(v, 0)])]
         vertex_ring_face[v] = face_id_of_orbit[idx]
 
-    vertex_ids = tuple(range(1, counter))
-    edge_ids = tuple(sorted(new_endpoints))
-    ve = incidence_matrix(vertex_ids, edge_ids, new_rotations)
-    fe = incidence_matrix(
-        range(len(internal)), edge_ids, [_orbit_key(new_orbits[i]) for i in internal]
+    cubic = CubicMap.from_membership(
+        new_rotations, {fid: _orbit_key(new_orbits[i]) for fid, i in enumerate(internal, start=1)}
     )
-    cubic = CubicMap(ve, fe, vertex_ids=vertex_ids, edge_ids=edge_ids)
 
     mapping = BlowUpMapping(
         face_to_new=face_to_new,

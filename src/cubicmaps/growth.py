@@ -2,13 +2,14 @@
 
 An insertion picks one internal face and two of its edges (possibly the
 same edge), subdivides each target with a new vertex, and joins the two
-new vertices by a new edge across the face.  Both incidence matrices are
-rebuilt, the chosen cover is rewritten onto the new map, and the closure
-is recomputed, so after every step the map carries the covers, labellings
-and Hamiltonian cycles of the reselection class (Kempe class) that holds
-the rewritten cover.  On maps whose covers split into several classes the
-others are not reached; the Hamiltonian subset may then be empty even on a
-Hamiltonian map, and it is empty on every non-Hamiltonian map.
+new vertices by a new edge across the face.  The edge membership of the
+vertices and faces is updated, the chosen cover is rewritten onto the new
+map, and the closure is recomputed, so after every step the map carries
+the covers, labellings and Hamiltonian cycles of the reselection class
+(Kempe class) that holds the rewritten cover.  On maps whose covers
+split into several classes the others are not reached; the Hamiltonian
+subset may then be empty even on a Hamiltonian map, and it is empty on
+every non-Hamiltonian map.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from .errors import (
 from .incidence import (
     Cover,
     CubicMap,
-    NextIds,
     canonical_cover,
     check_cover,
     face_boundary_walk,
-    incidence_matrix,
     order_cycle,
 )
 from .labelling import Labelling, closure_labellings, hamiltonian_covers
@@ -75,7 +74,7 @@ def choose_insertion(m: CubicMap, rng: random.Random) -> tuple[int, int, int]:
     """
     faces = m.face_ids
     face = faces[rng.randrange(len(faces))]
-    edges = sorted(m.face_edge_sets[face])
+    edges = m.face_edges[face]
     e1 = edges[rng.randrange(len(edges))]
     e2 = edges[rng.randrange(len(edges))]
     return face, e1, e2
@@ -109,7 +108,7 @@ def insert_edge(
 
     vertex_edges = {v: set(es) for v, es in m.vertex_edges.items()}
     vertex_edges[x], vertex_edges[y] = {g}, {g}
-    face_sets = {f: set(es) for f, es in m.face_edge_sets.items()}
+    face_sets = {f: set(es) for f, es in m.face_edges.items()}
     for old, segs in split.items():
         for v in m.edge_vertices[old]:
             vertex_edges[v].remove(old)
@@ -134,20 +133,7 @@ def insert_edge(
     face_sets[new_face] = {e for _, e in cut[ix:iy]} | {g}
     face_sets[face] = {e for _, e in cut[iy:] + cut[:ix]} | {g}
 
-    new_vertex_ids = m.vertex_ids + (x, y)
-    minted = set(range(m.next_ids.edge, g + 1))
-    new_edge_ids = tuple(sorted((set(m.edge_ids) - {e1, e2}) | minted))
-    new_face_ids = m.face_ids + (new_face,)
-    ve = incidence_matrix(new_vertex_ids, new_edge_ids, vertex_edges)
-    fe = incidence_matrix(new_face_ids, new_edge_ids, face_sets)
-    new_map = CubicMap(
-        ve,
-        fe,
-        vertex_ids=new_vertex_ids,
-        edge_ids=new_edge_ids,
-        face_ids=new_face_ids,
-        next_ids=NextIds(vertex=y + 1, edge=g + 1, face=new_face + 1),
-    )
+    new_map = CubicMap.from_membership(vertex_edges, face_sets)
     event = InsertionEvent(
         face=face,
         targets=(e1, e2),
@@ -197,7 +183,7 @@ def face_pairs(m: CubicMap):
     """Every (face, edge, edge) with both edges on the face, unordered,
     equal pairs included."""
     for face in m.face_ids:
-        edges = sorted(m.face_edge_sets[face])
+        edges = m.face_edges[face]
         for i, a in enumerate(edges):
             for b in edges[i:]:
                 yield face, a, b

@@ -1,25 +1,26 @@
-"""Incidence-matrix model of cubic planar maps.
+"""Edge-membership model of cubic planar maps.
 
-A map is stored as two 0/1 matrices: ``vertex_edge`` (rows = vertices,
-columns = edges) and ``face_edge`` (rows = internal faces only; the outer
-face has no row, so columns of external edges carry a single 1).  Parallel
-edges are first class (identical columns); loops are inexpressible and
-rejected.  All adjacency queries are edge-id based, never endpoint based,
-so parallel edges never collide.
+A map is its edge membership: each vertex lists its incident edges and
+each internal face its boundary edges (the outer face has no entry, so
+external edges lie on a single listed face).  The 0/1 incidence matrices
+``vertex_edge`` (rows = vertices, columns = edges) and ``face_edge``
+(rows = internal faces) are parsed into that form and built back from it.
+Parallel edges are first class (identical columns); loops are
+inexpressible and rejected.  All adjacency queries are edge-id based,
+never endpoint based, so parallel edges never collide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .errors import InvalidCover, MalformedFace, NotACycle, NotTwoRegular
 
 Cycle = tuple[int, ...]
 Cover = tuple[Cycle, ...]
+Members = dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -34,50 +35,50 @@ class NextIds:
 class CubicMap:
     """A cubic planar map with opaque positive integer ids.
 
-    Matrix row/column order is id-sorted.  Instances are immutable after
-    construction (the arrays are write-protected); every operation that
+    ``vertex_edges`` and ``face_edges`` give each vertex and internal face
+    its id-sorted edges; a parsed matrix entry above 1 lists its edge
+    twice, so ``validate_map`` can report it.  The incidence matrices
+    ``vertex_edge`` and ``face_edge`` (rows and columns id-sorted) are
+    read-only uint8 arrays, built and numpy imported on first read.
+    Instances are immutable after construction; every operation that
     changes the map returns a new instance, so values can be shared freely
     across threads.
     """
 
-    def __init__(
-        self,
-        vertex_edge,
-        face_edge,
-        vertex_ids: Sequence[int] | None = None,
-        edge_ids: Sequence[int] | None = None,
-        face_ids: Sequence[int] | None = None,
-        next_ids: NextIds | None = None,
-    ):
-        ve = np.array(vertex_edge, dtype=np.uint8)
-        fe = np.array(face_edge, dtype=np.uint8)
-        if ve.ndim != 2 or fe.ndim != 2:
-            raise ValueError("incidence matrices must be two-dimensional")
-        ve.setflags(write=False)
-        fe.setflags(write=False)
-        self.vertex_edge = ve
-        self.face_edge = fe
-        self.vertex_ids = self._ids(vertex_ids, ve.shape[0], "vertex")
-        self.edge_ids = self._ids(edge_ids, ve.shape[1], "edge")
-        self.face_ids = self._ids(face_ids, fe.shape[0], "face")
-        if next_ids is None:
-            next_ids = NextIds(
-                vertex=(max(self.vertex_ids) + 1) if self.vertex_ids else 1,
-                edge=(max(self.edge_ids) + 1) if self.edge_ids else 1,
-                face=(max(self.face_ids) + 1) if self.face_ids else 1,
-            )
-        self.next_ids = next_ids
+    def __init__(self, vertex_edge, face_edge):
+        """Parse the two incidence matrices; ids are positional (1..n)."""
+        ve, width = _matrix_rows(vertex_edge)
+        fe, face_width = _matrix_rows(face_edge)
+        self._set_members(
+            {v: _members(row) for v, row in enumerate(ve, start=1)},
+            {f: _members(row) for f, row in enumerate(fe, start=1)},
+            tuple(range(1, width + 1)),
+            tuple(range(1, face_width + 1)),
+        )
 
-    @staticmethod
-    def _ids(ids, count, kind) -> tuple[int, ...]:
-        if ids is None:
-            return tuple(range(1, count + 1))
-        ids = tuple(int(i) for i in ids)
-        if len(ids) != count:
-            raise ValueError(f"{kind} id count {len(ids)} != matrix dimension {count}")
-        if sorted(ids) != list(ids) or len(set(ids)) != count:
-            raise ValueError(f"{kind} ids must be strictly increasing")
-        return ids
+    @classmethod
+    def from_membership(cls, vertex_edges, face_edges) -> CubicMap:
+        """Map from vertex -> incident edge ids and internal face ->
+        boundary edge ids.  The keys are the vertex and face ids, and the
+        edge ids are the ones the vertices meet."""
+        vertex_edges, face_edges = (
+            {k: tuple(sorted(set(es))) for k, es in sorted(members.items())}
+            for members in (vertex_edges, face_edges)
+        )
+        edge_ids = tuple(sorted(set().union(*vertex_edges.values())))
+        m = cls.__new__(cls)
+        m._set_members(vertex_edges, face_edges, edge_ids, edge_ids)
+        return m
+
+    def _set_members(self, vertex_edges, face_edges, edge_ids, face_columns):
+        self.vertex_edges: Members = vertex_edges
+        self.face_edges: Members = face_edges
+        self.vertex_ids, self.face_ids = tuple(vertex_edges), tuple(face_edges)
+        self.edge_ids = edge_ids
+        self._face_columns = face_columns  # edge ids of the face-edge columns
+        self.next_ids = NextIds(
+            *(max(ids, default=0) + 1 for ids in (self.vertex_ids, edge_ids, self.face_ids))
+        )
 
     # -- sizes ---------------------------------------------------------
 
@@ -92,6 +93,23 @@ class CubicMap:
     @property
     def n_internal_faces(self) -> int:
         return len(self.face_ids)
+
+    # -- incidence matrices --------------------------------------------
+
+    def matrix_rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The vertex-edge and face-edge matrices as lists of rows."""
+        return (
+            _incidence_rows(self.vertex_edges, self.edge_ids),
+            _incidence_rows(self.face_edges, self._face_columns),
+        )
+
+    @cached_property
+    def vertex_edge(self):
+        return _read_only(self.matrix_rows()[0], self.n_edges)
+
+    @cached_property
+    def face_edge(self):
+        return _read_only(self.matrix_rows()[1], len(self._face_columns))
 
     # -- derived adjacency (valid maps only) ---------------------------
 
@@ -111,39 +129,32 @@ class CubicMap:
         return {v: tuple(col[e] for e in es) for v, es in self.vertex_edges.items()}
 
     @cached_property
-    def edge_vertices(self) -> dict[int, tuple[int, int]]:
-        """Edge id -> its two endpoint vertex ids (sorted)."""
-        out = _row_members(self.vertex_edge.T, self.edge_ids, self.vertex_ids)
-        for e, vs in out.items():
-            if len(vs) != 2:
-                raise ValueError(f"edge {e} has {len(vs)} endpoints")
-        return out
+    def _edge_ends(self) -> Members:
+        """Edge id -> the vertex ids that list it, in id order (any number)."""
+        return _transpose(self.vertex_edges, self.edge_ids)
 
     @cached_property
-    def vertex_edges(self) -> dict[int, tuple[int, ...]]:
-        """Vertex id -> its incident edge ids (sorted)."""
-        return _row_members(self.vertex_edge, self.vertex_ids, self.edge_ids)
+    def edge_vertices(self) -> dict[int, tuple[int, int]]:
+        """Edge id -> its two endpoint vertex ids (sorted)."""
+        for e, vs in self._edge_ends.items():
+            if len(vs) != 2:
+                raise ValueError(f"edge {e} has {len(vs)} endpoints")
+        return self._edge_ends
 
     @cached_property
     def face_edge_sets(self) -> dict[int, frozenset[int]]:
         """Internal face id -> the set of edges on its boundary."""
-        out = _row_members(self.face_edge, self.face_ids, self.edge_ids)
-        return {f: frozenset(es) for f, es in out.items()}
+        return {f: frozenset(es) for f, es in self.face_edges.items()}
 
     @cached_property
     def edge_internal_faces(self) -> dict[int, tuple[int, ...]]:
         """Edge id -> internal face ids containing it (1 for external edges)."""
-        out = {e: [] for e in self.edge_ids}
-        for f, edges in sorted(self.face_edge_sets.items()):
-            for e in edges:
-                out[e].append(f)
-        return {e: tuple(fs) for e, fs in out.items()}
+        return _transpose(self.face_edges, self.edge_ids)
 
     @cached_property
     def external_edges(self) -> frozenset[int]:
-        """Edges on the outer boundary (face-edge column sum 1)."""
-        sums = self.face_edge.sum(axis=0)
-        return frozenset(e for j, e in enumerate(self.edge_ids) if sums[j] == 1)
+        """Edges on the outer boundary (on a single internal face)."""
+        return frozenset(e for e, fs in self.edge_internal_faces.items() if len(fs) == 1)
 
     @cached_property
     def all_edges(self) -> frozenset[int]:
@@ -160,23 +171,58 @@ class CubicMap:
         )
 
 
-def incidence_matrix(row_ids, col_ids, members) -> np.ndarray:
-    """0/1 uint8 matrix: row r has a 1 in the column of each edge of ``members[r]``."""
-    col_of = {e: j for j, e in enumerate(col_ids)}
-    mat = np.zeros((len(row_ids), len(col_ids)), dtype=np.uint8)
-    for i, r in enumerate(row_ids):
-        for e in members[r]:
-            mat[i, col_of[e]] = 1
+def _matrix_rows(matrix) -> tuple[list, int]:
+    """Rows and width of a non-empty rectangular matrix of integers 0..255,
+    given as nested lists or as an array; ValueError otherwise."""
+    if hasattr(matrix, "tolist"):
+        matrix = matrix.tolist()
+    rows = (list, tuple)
+    if not matrix or not isinstance(matrix, rows) or not all(isinstance(r, rows) for r in matrix):
+        raise ValueError("incidence matrices must be two-dimensional")
+    width = len(matrix[0])
+    for row in matrix:
+        if len(row) != width:
+            raise ValueError("incidence matrix rows differ in length")
+        for x in row:
+            # bool is an int subclass, and JSON true is not a matrix entry
+            if type(x) is not int or not 0 <= x <= 255:
+                raise ValueError(f"incidence matrix entry {x!r} is not an integer in 0..255")
+    return matrix, width
+
+
+def _members(row: list[int]) -> tuple[int, ...]:
+    """The positional column ids of a matrix row; an entry above 1 lists
+    its column twice, which is all validation needs, and keeps a document
+    of large entries from growing with their size."""
+    return tuple(j for j, x in enumerate(row, start=1) for _ in range(min(x, 2)))
+
+
+def _incidence_rows(members: Members, columns: tuple[int, ...]) -> list[list[int]]:
+    col = {e: j for j, e in enumerate(columns)}
+    rows = []
+    for edges in members.values():
+        row = [0] * len(columns)
+        for e in edges:
+            row[col[e]] += 1
+        rows.append(row)
+    return rows
+
+
+def _read_only(rows: list[list[int]], width: int):
+    import numpy as np
+
+    mat = np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+    mat.setflags(write=False)
     return mat
 
 
-def _row_members(matrix, row_ids, col_ids) -> dict[int, tuple[int, ...]]:
-    """Row id -> the ids of the columns where that row is non-zero, sorted."""
-    out: dict[int, list[int]] = {r: [] for r in row_ids}
-    rows, cols = np.nonzero(matrix)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        out[row_ids[i]].append(col_ids[j])
-    return {r: tuple(members) for r, members in out.items()}
+def _transpose(members: Members, ids: tuple[int, ...]) -> Members:
+    """Column id -> the row ids whose members include it, in row order."""
+    out: dict[int, list[int]] = {i: [] for i in ids}
+    for r, edges in members.items():
+        for e in edges:
+            out[e].append(r)
+    return {i: tuple(rs) for i, rs in out.items()}
 
 
 # ---------------------------------------------------------------------
@@ -189,35 +235,27 @@ def validate_map(m: CubicMap) -> list[str]:
     An empty report means the map is valid.  Nothing is raised: a report
     is data, not a failure.
     """
-    report: list[str] = []
-    ve, fe = m.vertex_edge, m.face_edge
-    if ve.size == 0 or fe.size == 0:
+    widths = (m.n_edges, len(m._face_columns))
+    if 0 in (m.n_vertices, m.n_internal_faces, *widths):
         return ["incidence matrices must be non-empty"]
-    if not np.isin(ve, (0, 1)).all():
-        report.append("vertex-edge matrix has entries outside {0,1}")
-    if not np.isin(fe, (0, 1)).all():
-        report.append("face-edge matrix has entries outside {0,1}")
-    if fe.shape[1] != ve.shape[1]:
-        report.append(
-            f"face-edge matrix has {fe.shape[1]} columns, vertex-edge has {ve.shape[1]}"
-        )
+    report: list[str] = []
+    for kind, rows in (("vertex", m.vertex_edges), ("face", m.face_edges)):
+        if any(len(set(es)) != len(es) for es in rows.values()):
+            report.append(f"{kind}-edge matrix has entries outside {{0,1}}")
+    if widths[0] != widths[1]:
+        report.append(f"face-edge matrix has {widths[1]} columns, vertex-edge has {widths[0]}")
     if report:
         return report
 
-    for i, v in enumerate(m.vertex_ids):
-        k = int(ve[i].sum())
-        if k != 3:
-            report.append(f"vertex row {v} has {k} ones (expected 3)")
-    col_sums = ve.sum(axis=0)
-    for j, e in enumerate(m.edge_ids):
-        k = int(col_sums[j])
-        if k != 2:
-            report.append(f"edge column {e} has {k} ones in vertex-edge (expected 2)")
-    face_col_sums = fe.sum(axis=0)
-    for j, e in enumerate(m.edge_ids):
-        k = int(face_col_sums[j])
-        if k not in (1, 2):
-            report.append(f"edge column {e} has {k} ones in face-edge (expected 1 or 2)")
+    for v, edges in m.vertex_edges.items():
+        if len(edges) != 3:
+            report.append(f"vertex row {v} has {len(edges)} ones (expected 3)")
+    for e, vs in m._edge_ends.items():
+        if len(vs) != 2:
+            report.append(f"edge column {e} has {len(vs)} ones in vertex-edge (expected 2)")
+    for e, fs in m.edge_internal_faces.items():
+        if len(fs) not in (1, 2):
+            report.append(f"edge column {e} has {len(fs)} ones in face-edge (expected 1 or 2)")
     if not euler_check(m):
         report.append(
             f"Euler check failed: V={m.n_vertices} - E={m.n_edges} + "
@@ -228,7 +266,7 @@ def validate_map(m: CubicMap) -> list[str]:
 
     # Outer boundary: every vertex lies on 0 or 2 external edges.
     external = m.external_edges
-    for v, edges in sorted(m.vertex_edges.items()):
+    for v, edges in m.vertex_edges.items():
         k = sum(1 for e in edges if e in external)
         if k not in (0, 2):
             report.append(f"vertex {v} touches {k} external edges (expected 0 or 2)")
@@ -360,7 +398,7 @@ def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
 
 def face_boundary(m: CubicMap, face: int) -> Cycle:
     """Edges of an internal face in canonical boundary order."""
-    edges = m.face_edge_sets.get(face)
+    edges = m.face_edges.get(face)
     if edges is None:
         raise MalformedFace(f"face {face} is not a row of the face-edge matrix")
     try:

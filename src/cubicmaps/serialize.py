@@ -21,28 +21,30 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def renumber(m: CubicMap) -> tuple[CubicMap, dict[int, int], dict[int, int], dict[int, int]]:
+IdMap = dict[int, int]
+
+
+def positional_ids(m: CubicMap) -> tuple[IdMap, IdMap, IdMap]:
+    """The vertex/edge/face id translations to 1..n by sorted order."""
+    ids = (m.vertex_ids, m.edge_ids, m.face_ids)
+    return tuple({x: i for i, x in enumerate(xs, start=1)} for xs in ids)
+
+
+def renumber(m: CubicMap) -> tuple[CubicMap, IdMap, IdMap, IdMap]:
     """Relabel ids positionally (1..n by sorted order).
 
     The matrices are already id-sorted, so only the registries change.
     Returns the new map plus the vertex/edge/face id translations.
     """
-    vmap = {v: i + 1 for i, v in enumerate(m.vertex_ids)}
-    emap = {e: i + 1 for i, e in enumerate(m.edge_ids)}
-    fmap = {f: i + 1 for i, f in enumerate(m.face_ids)}
-    fresh = CubicMap(m.vertex_edge, m.face_edge)
-    return fresh, vmap, emap, fmap
+    return (CubicMap(*m.matrix_rows()), *positional_ids(m))
 
 
 def map_to_document(m: CubicMap, cycles: Iterable[Iterable[int]] | None = None) -> Document:
     """Canonical map document; optional ``cycles`` are translated along."""
-    _, _, emap, _ = renumber(m)
-    doc: Document = {
-        "vertex_edge": m.vertex_edge.tolist(),
-        "face_edge": m.face_edge.tolist(),
-        "cycles": [],
-    }
+    ve, fe = m.matrix_rows()
+    doc: Document = {"vertex_edge": ve, "face_edge": fe, "cycles": []}
     if cycles is not None:
+        _, emap, _ = positional_ids(m)
         doc["cycles"] = [[emap[e] for e in cycle] for cycle in cycles]
     return doc
 
@@ -54,17 +56,20 @@ def map_from_document(doc: Document) -> tuple[CubicMap, tuple[tuple[int, ...], .
     validator can report on them.  Raises ValueError on malformed JSON
     shape only: a missing key, a matrix that is not a 2-D array of small
     non-negative integers, or cycles that are not lists of integers.
+    Floats, strings and booleans are not integers.
     """
     try:
         ve = doc["vertex_edge"]
         fe = doc["face_edge"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"map document missing key: {exc}") from exc
+    m = CubicMap(ve, fe)
     try:
-        m = CubicMap(ve, fe)
-        cycles = tuple(tuple(int(e) for e in cycle) for cycle in doc.get("cycles") or [])
-    except (TypeError, OverflowError) as exc:
+        cycles = tuple(tuple(cycle) for cycle in doc.get("cycles") or [])
+    except TypeError as exc:
         raise ValueError(f"malformed map document: {exc}") from exc
+    if any(type(e) is not int for cycle in cycles for e in cycle):
+        raise ValueError("cycle edge ids must be integers")
     return m, cycles
 
 
@@ -99,7 +104,7 @@ def step_to_document(index: int, step, prev_emap=None, prev_fmap=None) -> Docume
     ids; the insertion's ``face``/``targets`` (and split keys) use the
     *previous* record's ids, while its minted ids use the current ones.
     """
-    _, vmap, emap, fmap = renumber(step.map)
+    vmap, emap, fmap = positional_ids(step.map)
     doc: Document = {
         "step": index,
         "map": map_to_document(step.map, cycles=step.cover),
@@ -129,7 +134,7 @@ def trace_documents(steps) -> list[Document]:
     prev_emap = prev_fmap = None
     for i, step in enumerate(steps):
         docs.append(step_to_document(i, step, prev_emap, prev_fmap))
-        _, _, prev_emap, prev_fmap = renumber(step.map)
+        _, prev_emap, prev_fmap = positional_ids(step.map)
     return docs
 
 

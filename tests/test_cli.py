@@ -5,7 +5,8 @@ import pytest
 
 from cubicmaps.cli import main
 from cubicmaps.fixtures import fixture_path, theta_map
-from cubicmaps.serialize import canonical_json, load_map, map_to_document
+from cubicmaps.incidence import validate_map
+from cubicmaps.serialize import canonical_json, load_map, map_from_document, map_to_document
 
 from conftest import random_insertion_walk
 
@@ -201,6 +202,11 @@ def _stray_face_one(doc):
     row[row.index(0)] = 1
 
 
+def _wider_face_edge(doc):
+    for row in doc["face_edge"]:
+        row.append(0)
+
+
 # name -> (mutation of the bundled cube document, expected exit code of
 # validate, enumerate, grow, check, export --format json, export --format dot)
 MUTATIONS = {
@@ -217,6 +223,38 @@ MUTATIONS = {
     "empty_cycle": (_set("cycles", [[]]), (0, 1, 1, 1, 1, 1)),
     "cycles_not_lists": (_set("cycles", 5), (2, 2, 2, 2, 2, 2)),
     "no_cycles": (_set("cycles", []), (0, 2, 2, 2, 0, 0)),
+    "face_edge_entry_two": (lambda d: d["face_edge"][1].__setitem__(0, 2), (1, 1, 1, 1, 1, 1)),
+    "wider_face_edge": (_wider_face_edge, (1, 1, 1, 1, 1, 1)),
+    # JSON values that are not integers must not be coerced into entries or ids
+    "float_entry": (lambda d: d["vertex_edge"][0].__setitem__(0, 1.5), (2, 2, 2, 2, 2, 2)),
+    "string_entry": (lambda d: d["vertex_edge"][0].__setitem__(0, "1"), (2, 2, 2, 2, 2, 2)),
+    "bool_entry": (lambda d: d["vertex_edge"][0].__setitem__(0, True), (2, 2, 2, 2, 2, 2)),
+    "float_cycle_edge": (lambda d: d["cycles"][0].__setitem__(0, 1.5), (2, 2, 2, 2, 2, 2)),
+}
+
+# name -> the exact validate_map report of every document of MUTATIONS that loads
+REPORTS = {
+    "cycles_not_a_cover": [],
+    "dropped_face_row": [
+        "edge column 12 has 0 ones in face-edge (expected 1 or 2)",
+        "Euler check failed: V=8 - E=12 + F=4+1 != 2",
+    ],
+    "edge_with_three_endpoints": [
+        "vertex row 3 has 4 ones (expected 3)",
+        "edge column 1 has 3 ones in vertex-edge (expected 2)",
+    ],
+    "empty_cycle": [],
+    "empty_matrices": ["incidence matrices must be non-empty"],
+    "face_edge_entry_two": ["face-edge matrix has entries outside {0,1}"],
+    "no_cycles": [],
+    "stray_face_one": [
+        "vertex 1 touches 1 external edges (expected 0 or 2)",
+        "vertex 2 touches 1 external edges (expected 0 or 2)",
+        "face 1 edges do not form one closed boundary",
+    ],
+    "unknown_cycle_edge": [],
+    "vertex_edge_entry_two": ["vertex-edge matrix has entries outside {0,1}"],
+    "wider_face_edge": ["face-edge matrix has 13 columns, vertex-edge has 12"],
 }
 
 COMMANDS = (
@@ -229,17 +267,26 @@ COMMANDS = (
 )
 
 
+def _mutated_cube(name):
+    doc = json.loads(fixture_path("cube.json").read_text())
+    MUTATIONS[name][0](doc)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_mutated_documents_report_lines(name):
+    m, _ = map_from_document(_mutated_cube(name))
+    assert validate_map(m) == REPORTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_mutated_documents_keep_exit_code_contract(name, tmp_path, monkeypatch, capsys):
-    mutate, expected = MUTATIONS[name]
-    doc = json.loads(fixture_path("cube.json").read_text())
-    mutate(doc)
     path = tmp_path / "mutated.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_mutated_cube(name)))
     monkeypatch.chdir(tmp_path)  # witness files default to the working directory
     got = tuple(
         main([*command, "--input", str(path), "--out", str(tmp_path / "out")])
         for command in COMMANDS
     )
-    assert got == expected
+    assert got == MUTATIONS[name][1]
     assert "Traceback" not in "".join(capsys.readouterr())

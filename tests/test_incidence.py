@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cubicmaps
 from cubicmaps import (
     CubicMap,
     MalformedFace,
@@ -37,10 +43,12 @@ def test_single_bit_corruption_is_reported(cube):
 
 
 def test_non_binary_entries_are_reported(theta):
-    ve = np.array(theta.vertex_edge)
-    ve[0, 0] = 2
-    report = validate_map(CubicMap(ve, theta.face_edge))
-    assert any("outside {0,1}" in line for line in report)
+    for entry in (2, 255):
+        ve = np.array(theta.vertex_edge)
+        ve[0, 0] = entry
+        m = CubicMap(ve, theta.face_edge)
+        assert validate_map(m) == ["vertex-edge matrix has entries outside {0,1}"]
+        assert m.vertex_edges[1] == (1, 1, 2, 3)  # listed twice, whatever the entry
 
 
 def test_euler_check(cube, theta):
@@ -178,3 +186,43 @@ def test_loops_cannot_be_expressed():
     ve[0, 0] = 1
     ve[1, 0] = 0  # edge 1 now has a single endpoint
     assert any("edge column 1" in line for line in validate_map(CubicMap(ve, [[1, 1, 0], [0, 1, 1]])))
+
+
+def test_core_runs_without_numpy(tmp_path):
+    """Import, growth, validation, serialisation, blow-up and the CLI leave
+    numpy unimported; the matrix views import it on first read."""
+    script = textwrap.dedent(
+        f"""
+        import json, sys
+        import cubicmaps
+        from cubicmaps import cli, fixtures, growth
+        from cubicmaps.fourcolour import blow_up
+        from cubicmaps.serialize import map_fingerprint, map_to_document, write_trace
+
+        steps = growth.grow(fixtures.cube_map(), fixtures.cube_seed(), 3, 7)
+        m = steps[-1].map
+        assert cubicmaps.validate_map(m) == []
+        map_fingerprint(m)
+        write_trace(steps, {str(tmp_path / "trace.jsonl")!r})
+        blow_up(fixtures.wheel_rotation(5))
+        path = {str(tmp_path / "m.json")!r}
+        with open(path, "w") as fh:
+            json.dump(map_to_document(m), fh)
+        assert cli.main(["validate", "--input", path]) == 0
+        assert "numpy" not in sys.modules, "numpy imported"
+
+        import numpy as np
+        doc = map_to_document(m)
+        for view, rows in ((m.vertex_edge, doc["vertex_edge"]), (m.face_edge, doc["face_edge"])):
+            assert isinstance(view, np.ndarray) and view.dtype == np.uint8
+            assert not view.flags.writeable
+            assert view.tolist() == rows
+        """
+    )
+    src = str(Path(cubicmaps.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cubicmaps import grow, map_from_document, map_to_document, to_dot
 from cubicmaps.fixtures import cube_seed, fixture_path, theta_map, theta_seed
 from cubicmaps.serialize import (
@@ -17,6 +19,26 @@ def test_document_round_trip(cube):
     m2, cycles = map_from_document(doc)
     assert map_to_document(m2, cycles=cycles) == doc
     assert cycles == cube_seed()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda ve: [ve[0][:-1]] + ve[1:],
+        lambda ve: [[-1, *ve[0][1:]], *ve[1:]],
+        lambda ve: [[300, *ve[0][1:]], *ve[1:]],
+        lambda ve: ve[0],
+        lambda ve: 1,
+        lambda ve: [],
+    ],
+    ids=["ragged_rows", "entry_minus_one", "entry_300", "one_dimensional", "scalar", "empty_list"],
+)
+def test_malformed_matrix_raises_value_error(mutate):
+    doc = json.loads(fixture_path("cube.json").read_text())
+    doc["vertex_edge"] = mutate(doc["vertex_edge"])
+    with pytest.raises(ValueError) as caught:
+        map_from_document(doc)
+    assert type(caught.value) is ValueError
 
 
 def test_bundled_fixture_matches_builder(cube, theta):
