@@ -146,9 +146,9 @@ def insert_edge(
 
 
 def compatible_cover(covers: Iterable[Cover], e1: int, e2: int) -> Cover | None:
-    """First cover (canonical order) with a single cycle through both
+    """First cover in the given order with a single cycle through both
     targets, or None."""
-    for cover in sorted(covers):
+    for cover in covers:
         for cycle in cover:
             if e1 in cycle and e2 in cycle:
                 return cover

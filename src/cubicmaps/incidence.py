@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidCover, MalformedFace, NotACycle, NotTwoRegular
 

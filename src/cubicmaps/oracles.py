@@ -6,10 +6,19 @@ complementation (a 2-factor of a cubic graph is exactly the complement
 of a perfect matching), and proper labellings by edge-order backtracking.
 They exist to *check* the fast path, so they share none of its search
 logic.
+
+Both searches test conflicts with integer bitmasks.  The matching search
+holds the covered vertices as a bitmask over the positions of
+``vertex_ids`` and always matches the lowest uncovered vertex.  The
+labelling search visits the edges breadth first, so an edge is labelled
+soon after its neighbours and a conflict shows early; the classes of its
+labelled neighbours form a forbidden mask, and classes are opened in
+order, so each labelling is built once rather than once per role name.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,27 +39,36 @@ def _check_cap(m: CubicMap, cap: int | None) -> None:
 
 
 def all_perfect_matchings(m: CubicMap, cap: int | None = None) -> tuple[frozenset[int], ...]:
-    """Every edge set covering each vertex exactly once, by backtracking
-    over vertices in id order."""
-    _check_cap(m, cap)
-    vertices = list(m.vertex_ids)
-    out: list[frozenset[int]] = []
+    """Every edge set covering each vertex exactly once, sorted by their
+    sorted edges.
 
-    def extend(covered: set[int], chosen: list[int]) -> None:
-        free = next((v for v in vertices if v not in covered), None)
-        if free is None:
+    Backtracks over vertices in id order.  The covered vertices are an
+    integer bitmask over the positions of ``vertex_ids``; the next vertex
+    to match is the lowest uncovered one, ``~covered & (covered + 1)``,
+    and it offers its precomputed (edge, neighbour bit) pairs.
+    """
+    _check_cap(m, cap)
+    bit = {v: 1 << i for i, v in enumerate(m.vertex_ids)}
+    options = {
+        bit[v]: [(e, bit[m.other_endpoint(e, v)]) for e in es]
+        for v, es in m.vertex_edges.items()
+    }
+    full = (1 << m.n_vertices) - 1
+    out: list[frozenset[int]] = []
+    chosen: list[int] = []
+
+    def extend(covered: int) -> None:
+        if covered == full:
             out.append(frozenset(chosen))
             return
-        for e in m.vertex_edges[free]:
-            w = m.other_endpoint(e, free)
-            if w not in covered:
-                covered.update((free, w))
+        low = ~covered & (covered + 1)
+        for e, other in options[low]:
+            if not covered & other:
                 chosen.append(e)
-                extend(covered, chosen)
+                extend(covered | low | other)
                 chosen.pop()
-                covered.difference_update((free, w))
 
-    extend(set(), [])
+    extend(0)
     return tuple(sorted(out, key=sorted))
 
 
@@ -68,40 +86,61 @@ def all_even_cycle_covers(m: CubicMap, cap: int | None = None) -> tuple[Cover, .
     return tuple(sorted(covers))
 
 
-def all_proper_labellings(m: CubicMap, cap: int | None = None) -> tuple[Labelling, ...]:
-    """Every proper 3-edge-labelling up to role permutation.
+def _breadth_first_edges(m: CubicMap) -> list[int]:
+    """Every edge once, breadth first over shared vertices from the lowest
+    edge id, restarting from the lowest unseen id when the queue runs dry."""
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in m.edge_ids:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            e = queue.popleft()
+            order.append(e)
+            for v in m.edge_vertices[e]:
+                for f in m.vertex_edges[v]:
+                    if f not in seen:
+                        seen.add(f)
+                        queue.append(f)
+    return order
 
-    Backtracking over edges in id order; the first edge's class is pinned
-    (role names are arbitrary) and the final role quotient is taken by
-    canonicalization.
+
+def all_proper_labellings(m: CubicMap, cap: int | None = None) -> tuple[Labelling, ...]:
+    """Every proper 3-edge-labelling up to role permutation, sorted.
+
+    Backtracks over the edges in breadth-first order (``_breadth_first_edges``).
+    At each position the classes of the earlier edges that share a vertex
+    with it form a forbidden bitmask.  Classes are opened in order: the
+    first edge takes class 0, and a later edge takes a class already used
+    or the next unused one, so each labelling is built exactly once
+    before canonicalization.
     """
     _check_cap(m, cap)
-    edges = list(m.edge_ids)
-    class_of: dict[int, int] = {}
-    found: set[Labelling] = set()
+    order = _breadth_first_edges(m)
+    pos = {e: i for i, e in enumerate(order)}
+    neighbours = [{pos[f] for v in m.edge_vertices[e] for f in m.vertex_edges[v]} for e in order]
+    earlier = [[j for j in ns if j < i] for i, ns in enumerate(neighbours)]
+    class_at = [0] * len(order)
+    found: list[Labelling] = []
 
-    def conflicts(e: int, c: int) -> bool:
-        for v in m.edge_vertices[e]:
-            for e2 in m.vertex_edges[v]:
-                if e2 != e and class_of.get(e2) == c:
-                    return True
-        return False
-
-    def assign(i: int) -> None:
-        if i == len(edges):
-            classes: list[list[int]] = [[], [], []]
-            for e, c in class_of.items():
+    def assign(i: int, opened: int) -> None:
+        if i == len(order):
+            classes: tuple[list[int], ...] = ([], [], [])
+            for e, c in zip(order, class_at):
                 classes[c].append(e)
-            found.add(canonical_labelling(classes))
+            found.append(canonical_labelling(classes))
             return
-        e = edges[i]
-        for c in (0,) if i == 0 else (0, 1, 2):
-            if not conflicts(e, c):
-                class_of[e] = c
-                assign(i + 1)
-                del class_of[e]
+        forbidden = 0
+        for j in earlier[i]:
+            forbidden |= 1 << class_at[j]
+        for c in range(min(opened + 1, 3)):
+            if not forbidden >> c & 1:
+                class_at[i] = c
+                assign(i + 1, max(opened, c + 1))
 
-    assign(0)
+    assign(0, 0)
     return tuple(sorted(found))
 
 

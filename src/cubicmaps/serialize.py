@@ -30,15 +30,6 @@ def positional_ids(m: CubicMap) -> tuple[IdMap, IdMap, IdMap]:
     return tuple({x: i for i, x in enumerate(xs, start=1)} for xs in ids)
 
 
-def renumber(m: CubicMap) -> tuple[CubicMap, IdMap, IdMap, IdMap]:
-    """Relabel ids positionally (1..n by sorted order).
-
-    The matrices are already id-sorted, so only the registries change.
-    Returns the new map plus the vertex/edge/face id translations.
-    """
-    return (CubicMap(*m.matrix_rows()), *positional_ids(m))
-
-
 def map_to_document(m: CubicMap, cycles: Iterable[Iterable[int]] | None = None) -> Document:
     """Canonical map document; optional ``cycles`` are translated along."""
     ve, fe = m.matrix_rows()

@@ -41,6 +41,7 @@ import pytest
 
 from cubicmaps import (
     all_even_cycle_covers,
+    all_perfect_matchings,
     all_proper_labellings,
     blow_up,
     check_shared_cycle,
@@ -84,6 +85,9 @@ HOLTON_MCKAY_VERTICES = 38  # smallest non-Hamiltonian 3-connected cubic planar 
 # output moves these.
 CORPUS_TRACE_SHA256 = "de809581cb7017f0c957a3e79d122da4351bdcfb6f1c5e365da26f924ed72e3e"
 CUBE_TRACE_SHA256 = "5c26e55c8a8f452de3587a3e6dbf2e06e5ffe218df678e59b412c6b899f74b55"
+# sha256 of the three oracle outputs of every corpus map, in corpus order.
+# Any change to the oracle enumerators' output moves it.
+CORPUS_ORACLE_SHA256 = "569ce4a686b850819b62882c379e6dec3ae73b5753d7313f2c1792d347cf2da2"
 
 
 @dataclass
@@ -95,6 +99,7 @@ class CorpusEntry:
     closure: tuple
     labellings: tuple
     hamiltonian: tuple
+    oracle_matchings: tuple
     oracle_covers: tuple
     oracle_labellings: tuple
     growth_step: object
@@ -181,6 +186,7 @@ def corpus():
                     closure=st.covers,
                     labellings=st.labellings,
                     hamiltonian=st.hamiltonian,
+                    oracle_matchings=all_perfect_matchings(st.map),
                     oracle_covers=all_even_cycle_covers(st.map),
                     oracle_labellings=all_proper_labellings(st.map),
                     growth_step=st,
@@ -206,6 +212,16 @@ def test_corpus_trace_digest(corpus):
     for e in entries:
         runs.setdefault(e.seed, []).append(e.growth_step)
     assert _trace_sha256(runs.values()) == CORPUS_TRACE_SHA256
+
+
+def test_corpus_oracle_digest(corpus):
+    entries, _ = corpus
+    h = hashlib.sha256()
+    for e in entries:
+        matchings = [sorted(matching) for matching in e.oracle_matchings]
+        doc = [matchings, e.oracle_covers, e.oracle_labellings]
+        h.update((canonical_json(doc) + "\n").encode())
+    assert h.hexdigest() == CORPUS_ORACLE_SHA256
 
 
 def test_cube_trace_digest():

@@ -103,6 +103,14 @@ def test_compatible_cover(cube, cube_cover):
     assert compatible_cover((), 3, 4) is None
 
 
+def test_compatible_cover_takes_first_in_given_order(cube, cube_cover):
+    closure = cover_closure(cube, cube_cover)
+    matches = [cov for cov in closure if any(3 in c and 4 in c for c in cov)]
+    assert len(matches) > 1
+    assert compatible_cover(closure, 3, 4) == matches[0]
+    assert compatible_cover(closure[::-1], 3, 4) == matches[-1]
+
+
 def test_compatible_cover_same_edge(theta, theta_cover):
     closure = cover_closure(theta, theta_cover)
     chosen = compatible_cover(closure, 3, 3)

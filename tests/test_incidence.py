@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import os
+import pkgutil
 import random
 import subprocess
 import sys
 import textwrap
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -226,3 +230,27 @@ def test_core_runs_without_numpy(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _defined_callables(module):
+    """Every function and class defined in ``module``, and the functions,
+    properties and cached properties in those classes' bodies."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                for attr in ("fget", "func", "__func__"):
+                    member = getattr(member, attr, member)
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(cubicmaps.__path__)])
+def test_annotations_resolve(name):
+    module = importlib.import_module(f"cubicmaps.{name}")
+    for obj in _defined_callables(module):
+        typing.get_type_hints(obj)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from cubicmaps import (
     all_proper_labellings,
     check_closure_completeness,
     check_cover,
+    CubicMap,
     check_shared_cycle,
     compare_cover_sets,
     cover_closure,
@@ -17,11 +19,13 @@ from cubicmaps import (
     validate_map,
 )
 from cubicmaps.fixtures import (
+    cube_map,
     fixture_path,
     tetrahedron_map,
     tetrahedron_seed,
     theta_map,
 )
+from cubicmaps.labelling import canonical_labelling
 from cubicmaps.serialize import load_map
 
 from conftest import random_insertion_walk
@@ -41,6 +45,59 @@ def test_cube_matchings(cube):
     for matching in matchings:
         covered = [v for e in matching for v in cube.edge_vertices[e]]
         assert sorted(covered) == list(cube.vertex_ids)
+
+
+def _two_thetas() -> CubicMap:
+    """Two disjoint thetas: a map whose edges form two components."""
+    return CubicMap.from_membership(
+        vertex_edges={1: (1, 2, 3), 2: (1, 2, 3), 3: (4, 5, 6), 4: (4, 5, 6)},
+        face_edges={1: (1, 2), 2: (2, 3), 3: (4, 5), 4: (5, 6)},
+    )
+
+
+def _brute_force_matchings(m):
+    """Every combination of V/2 edges whose endpoints are all distinct."""
+    found = [
+        frozenset(edges)
+        for edges in itertools.combinations(m.edge_ids, m.n_vertices // 2)
+        if len({v for e in edges for v in m.edge_vertices[e]}) == m.n_vertices
+    ]
+    return tuple(sorted(found, key=sorted))
+
+
+def _brute_force_labellings(m):
+    """Every class assignment with the first edge in class 0 that puts the
+    three edges at each vertex in three classes, canonicalised."""
+    first, *rest = m.edge_ids
+    found = set()
+    for classes in itertools.product(range(3), repeat=len(rest)):
+        class_of = {first: 0, **dict(zip(rest, classes))}
+        if all(len({class_of[e] for e in es}) == 3 for es in m.vertex_edges.values()):
+            by_class = ([e for e in m.edge_ids if class_of[e] == c] for c in range(3))
+            found.add(canonical_labelling(by_class))
+    return tuple(sorted(found))
+
+
+BRUTE_FORCE_MAPS = {
+    "theta": theta_map,
+    "tetrahedron": tetrahedron_map,
+    "cube": cube_map,
+    "two_thetas": _two_thetas,
+}
+
+
+@pytest.mark.parametrize("name", BRUTE_FORCE_MAPS)
+def test_matchings_match_brute_force(name):
+    m = BRUTE_FORCE_MAPS[name]()
+    assert all_perfect_matchings(m) == _brute_force_matchings(m)
+
+
+@pytest.mark.parametrize("name", BRUTE_FORCE_MAPS)
+def test_labellings_match_brute_force(name):
+    m = BRUTE_FORCE_MAPS[name]()
+    expected = _brute_force_labellings(m)
+    assert expected  # every map here is 3-edge-colourable
+    assert all_proper_labellings(m) == expected
 
 
 def test_cap_exceeded(cube):
