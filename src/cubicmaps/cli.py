@@ -1,7 +1,8 @@
 """Command-line surface: validate, enumerate, grow, check, export.
 
 Exit codes are a stable contract for CI: 0 success, 1 domain failure
-(invalid map, refuted conjecture), 2 parse/I-O failure, 3 no compatible
+(invalid map, refuted conjecture), 2 parse/I-O failure or bad argument
+(a negative ``--iterations`` or oracle cap), 3 no compatible
 insertion found during growth (a shared-cycle conjecture witness), 4
 oracle cap exceeded.  A closure without a Hamiltonian cycle is not a
 failure: ``enumerate`` and ``grow`` print a warning and exit 0.
@@ -14,16 +15,10 @@ import json
 import os
 import sys
 
-from .closure import cover_closure
-from .errors import (
-    CapExceeded,
-    MapError,
-    NoCompatibleInsertion,
-    NoHamiltonian,
-)
+from .errors import CapExceeded, MapError, NoCompatibleInsertion
 from .growth import grow
 from .incidence import check_cover, validate_map
-from .labelling import closure_labellings, hamiltonian_covers, labelling_from_cover
+from .labelling import labelling_from_cover
 from .oracles import (
     DEFAULT_ORACLE_CAP,
     check_closure_completeness,
@@ -31,11 +26,10 @@ from .oracles import (
 )
 from .serialize import (
     canonical_json,
-    covers_to_lists,
-    labelling_to_document,
+    cycles_from_json,
     load_map,
     map_to_document,
-    positional_ids,
+    step_to_document,
     to_dot,
     write_trace,
 )
@@ -68,12 +62,17 @@ def _load_valid(args):
 
 def _resolve_cap(args) -> int:
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get(CAP_ENV_VAR)
-    try:
-        return int(env) if env else DEFAULT_ORACLE_CAP
-    except ValueError:
-        raise _CliFailure(2, f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get(CAP_ENV_VAR)
+        try:
+            cap = int(env) if env else DEFAULT_ORACLE_CAP
+        except ValueError:
+            raise _CliFailure(2, f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+        source = CAP_ENV_VAR
+    if cap < 0:
+        raise _CliFailure(2, f"{source} must be >= 0, got {cap}")
+    return cap
 
 
 def cmd_validate(args) -> int:
@@ -91,25 +90,16 @@ def cmd_enumerate(args) -> int:
     m, cycles = _load_valid(args)
     if not cycles:
         raise _CliFailure(2, "input document has no seed cycles")
-    cover = check_cover(m, cycles)
-    covers = cover_closure(m, cover)
-    labellings = closure_labellings(m, covers)
-    try:
-        hams = hamiltonian_covers(m, covers)
-    except NoHamiltonian:
+    step = grow(m, cycles, iterations=0, rng_seed=0)[0]
+    if not step.hamiltonian:
         print("warning: no Hamiltonian cycle among the covers")
-        hams = ()
     print(
-        f"{len(covers)} cycle covers, {len(hams)} Hamiltonian, "
-        f"{len(labellings)} labellings"
+        f"{len(step.covers)} cycle covers, {len(step.hamiltonian)} Hamiltonian, "
+        f"{len(step.labellings)} labellings"
     )
     if args.out:
-        _, emap, _ = positional_ids(m)
-        doc = {
-            "covers": covers_to_lists(covers, emap),
-            "labellings": [labelling_to_document(l, emap) for l in labellings],
-            "hamiltonian": covers_to_lists(hams, emap),
-        }
+        doc = step_to_document(0, step)
+        doc = {key: doc[key] for key in ("covers", "labellings", "hamiltonian")}
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(doc) + "\n")
     return 0
@@ -156,9 +146,13 @@ def cmd_check(args) -> int:
     if args.covers:
         try:
             with open(args.covers, "r", encoding="utf-8") as fh:
-                injected = tuple(check_cover(m, c) for c in json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+                doc = json.load(fh)
+            if not isinstance(doc, list):
+                raise ValueError("covers file must be a list of covers")
+            covers = [cycles_from_json(c) for c in doc]
+        except (OSError, ValueError) as exc:
             raise _CliFailure(2, f"cannot read covers file: {exc}") from exc
+        injected = tuple(check_cover(m, c) for c in covers)
     reports = [
         check_closure_completeness(m, cover, cap=cap),
         check_shared_cycle(m, cap=cap, covers=injected),

@@ -14,9 +14,9 @@ form).  Some maps have more than one class, so the closure need not hold
 every even cycle cover; the bundled ``two_kempe_classes.json`` map is one,
 and 80 of the 1500 acceptance-corpus maps are others.
 
-Covers and labellings are computed on integer edge masks (bit i stands for
-``m.edge_ids[i]``): a half pick is one mask, and a cover is fully
-determined by its on-edge mask.
+Covers and labellings are computed on integer edge masks (bit e stands for
+edge id e, so a mask means the same edges on every map that has them): a
+half pick is one mask, and a cover is fully determined by its on-edge mask.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ def _half_split(m: CubicMap, cover: Cover) -> tuple[list[tuple[int, int]], int, 
     pairs = []
     on = 0
     for cycle in cover:
-        a, b = (edge_mask(m, half) for half in alternating_halves(cycle))
+        a, b = (edge_mask(half) for half in alternating_halves(cycle))
         pairs.append((a, b))
         on |= a | b
-    return pairs, on, ((1 << m.n_edges) - 1) ^ on
+    return pairs, on, m._all_mask ^ on
 
 
 def _picks(pairs: list[tuple[int, int]]) -> list[int]:
@@ -103,7 +103,7 @@ def cover_closure(
     anything a desk-scale map produces).
     """
     seed = check_cover(m, seed)
-    seen = {edge_mask(m, (e for cycle in seed for e in cycle)): seed}
+    seen = {edge_mask(e for cycle in seed for e in cycle): seed}
     labels = set()
     queue = deque([seed])
     while queue:

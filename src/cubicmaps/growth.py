@@ -29,10 +29,9 @@ from .errors import (
 from .incidence import (
     Cover,
     CubicMap,
-    canonical_cover,
     check_cover,
+    decompose_two_factor,
     face_boundary_walk,
-    order_cycle,
 )
 from .labelling import Labelling, closure_labellings, hamiltonian_covers
 from .serialize import map_to_document
@@ -161,6 +160,8 @@ def rewrite_cover(cover: Cover, event: InsertionEvent, new_map: CubicMap) -> Cov
     Each split target edge is replaced by all of its segments, so the
     host cycle grows by exactly two vertices and stays even; the inserted
     edge joins two host-cycle vertices and becomes an off-cover edge.
+    Every other edge keeps its id, so the rewritten on-edges are
+    decomposed once on the new map.
     """
     e1, e2 = event.targets
     host = [c for c in cover if e1 in c or e2 in c]
@@ -168,15 +169,11 @@ def rewrite_cover(cover: Cover, event: InsertionEvent, new_map: CubicMap) -> Cov
         raise IncompatibleCover(
             f"targets {event.targets} do not lie on a single cycle of the cover"
         )
-    cycles = []
-    for cycle in cover:
-        edges = set(cycle)
-        for old, segments in event.split_edges.items():
-            if old in edges:
-                edges.remove(old)
-                edges.update(segments)
-        cycles.append(order_cycle(new_map, edges))
-    return canonical_cover(cycles)
+    on = {e for cycle in cover for e in cycle}
+    for old, segments in event.split_edges.items():
+        on.remove(old)
+        on.update(segments)
+    return decompose_two_factor(new_map, on)
 
 
 def face_pairs(m: CubicMap):

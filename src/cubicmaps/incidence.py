@@ -114,21 +114,6 @@ class CubicMap:
     # -- derived adjacency (valid maps only) ---------------------------
 
     @cached_property
-    def _edge_col(self) -> dict[int, int]:
-        return {e: j for j, e in enumerate(self.edge_ids)}
-
-    @cached_property
-    def _col_ends(self) -> list[tuple[int, int]]:
-        """Edge column -> its two endpoint vertex ids."""
-        return [self.edge_vertices[e] for e in self.edge_ids]
-
-    @cached_property
-    def _vertex_cols(self) -> dict[int, tuple[int, ...]]:
-        """Vertex id -> the columns of its incident edges."""
-        col = self._edge_col
-        return {v: tuple(col[e] for e in es) for v, es in self.vertex_edges.items()}
-
-    @cached_property
     def _edge_ends(self) -> Members:
         """Edge id -> the vertex ids that list it, in id order (any number)."""
         return _transpose(self.vertex_edges, self.edge_ids)
@@ -159,6 +144,11 @@ class CubicMap:
     @cached_property
     def all_edges(self) -> frozenset[int]:
         return frozenset(self.edge_ids)
+
+    @cached_property
+    def _all_mask(self) -> int:
+        """The edge mask of every edge (see ``edge_mask``)."""
+        return edge_mask(self.edge_ids)
 
     def other_endpoint(self, edge: int, vertex: int) -> int:
         a, b = self.edge_vertices[edge]
@@ -301,50 +291,48 @@ def canonical_cycle(seq: Sequence[int]) -> Cycle:
     return rot
 
 
-def edge_mask(m: CubicMap, edges: Iterable[int]) -> int:
-    """Edge set as an integer: bit i stands for ``m.edge_ids[i]``."""
-    col = m._edge_col
+def edge_mask(edges: Iterable[int]) -> int:
+    """Edge set as an integer: bit e stands for edge id e."""
     mask = 0
     for e in edges:
-        mask |= 1 << col[e]
+        mask |= 1 << e
     return mask
 
 
-def mask_edges(m: CubicMap, mask: int) -> tuple[int, ...]:
+def mask_edges(mask: int) -> tuple[int, ...]:
     """The sorted edge ids of an edge mask."""
-    ids = m.edge_ids
     out = []
     while mask:
         low = mask & -mask
-        out.append(ids[low.bit_length() - 1])
+        out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
 
 
 def walk_cycles(m: CubicMap, mask: int) -> list[list[int]]:
-    """Split an edge mask into its cycles, each as a list of columns.
+    """Split an edge mask into its cycles, each as a list of edge ids.
 
     The only cycle walker of the package.  Every vertex the mask touches
     must meet exactly two of its edges; callers check that with
     ``_degree_two_mask`` (or, like the closure, build only such masks).
-    Each cycle is walked from its lowest column, and cycles come out in
-    order of their lowest column.
+    Each cycle is walked from its lowest edge id, and cycles come out in
+    order of their lowest edge id.
     """
-    ends, cols = m._col_ends, m._vertex_cols
+    ends, incident = m.edge_vertices, m.vertex_edges
     cycles = []
     while mask:
         low = mask & -mask
         mask ^= low
-        c = low.bit_length() - 1
-        start, cur = ends[c]
-        walk = [c]
+        e = low.bit_length() - 1
+        start, cur = ends[e]
+        walk = [e]
         while cur != start:
-            for c in cols[cur]:
-                if mask >> c & 1:
+            for e in incident[cur]:
+                if mask >> e & 1:
                     break
-            mask ^= 1 << c
-            walk.append(c)
-            a, b = ends[c]
+            mask ^= 1 << e
+            walk.append(e)
+            a, b = ends[e]
             cur = b if a == cur else a
         cycles.append(walk)
     return cycles
@@ -352,8 +340,7 @@ def walk_cycles(m: CubicMap, mask: int) -> list[list[int]]:
 
 def mask_cover(m: CubicMap, mask: int) -> Cover:
     """The canonical cover formed by a 2-regular spanning edge mask."""
-    ids = m.edge_ids
-    return canonical_cover([ids[c] for c in walk] for walk in walk_cycles(m, mask))
+    return canonical_cover(walk_cycles(m, mask))
 
 
 def _degree_two_mask(
@@ -363,17 +350,17 @@ def _degree_two_mask(
 
     The one degree check of the package.  Checks the vertices the edges
     touch, or with ``spanning`` every vertex of the map in id order, and
-    raises ``error`` at the first unknown edge id or offending vertex.
+    raises ``error`` at the first edge that is not an edge id of the map
+    (floats, booleans and strings are not ids) or offending vertex.
     """
-    col, ends = m._edge_col, m._col_ends
+    ends = m.edge_vertices
     degree = dict.fromkeys(m.vertex_ids, 0) if spanning else {}
     mask = 0
     for e in edges:
-        c = col.get(e)
-        if c is None:
-            raise error(f"unknown edge id {e}")
-        mask |= 1 << c
-        for v in ends[c]:
+        if type(e) is not int or e not in ends:
+            raise error(f"unknown edge id {e!r}")
+        mask |= 1 << e
+        for v in ends[e]:
             degree[v] = degree.get(v, 0) + 1
     for v, d in degree.items():
         if d != 2:
@@ -393,7 +380,7 @@ def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
     walks = walk_cycles(m, _degree_two_mask(m, edges, NotACycle))
     if len(walks) > 1:
         raise NotACycle("edge set is disconnected")
-    return canonical_cycle([m.edge_ids[c] for c in walks[0]])
+    return canonical_cycle(walks[0])
 
 
 def face_boundary(m: CubicMap, face: int) -> Cycle:

@@ -26,10 +26,10 @@ def canonical_labelling(classes: Iterable[Iterable[int]]) -> Labelling:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _to_labellings(m: CubicMap, masks: set[tuple[int, int, int]]) -> list[Labelling]:
+def _to_labellings(masks: set[tuple[int, int, int]]) -> list[Labelling]:
     """Convert class-mask triples, each distinct class mask once: labellings
     of one cover share its off mask, and closures reuse their halves."""
-    edges = {c: mask_edges(m, c) for c in set().union(*masks)}
+    edges = {c: mask_edges(c) for c in set().union(*masks)}
     return [canonical_labelling(edges[c] for c in classes) for classes in masks]
 
 
@@ -42,7 +42,7 @@ def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
     """
     pairs, on, off = _half_split(m, check_cover(m, cover))
     a = sum(ha for ha, _ in pairs)  # the a-halves are disjoint
-    return canonical_labelling(mask_edges(m, c) for c in (a, on ^ a, off))
+    return canonical_labelling(mask_edges(c) for c in (a, on ^ a, off))
 
 
 def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
@@ -54,7 +54,7 @@ def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
     """
     pairs, on, off = _half_split(m, check_cover(m, cover))
     masks = {tuple(sorted((p, on ^ p, off))) for p in _picks(pairs)}
-    return set(_to_labellings(m, masks))
+    return set(_to_labellings(masks))
 
 
 def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:
@@ -66,7 +66,7 @@ def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:
     """
     if not isinstance(closure, Closure) or closure.map is not m:
         raise TypeError("closure_labellings needs the result of cover_closure on this map")
-    return tuple(sorted(_to_labellings(m, closure.label_masks)))
+    return tuple(sorted(_to_labellings(closure.label_masks)))
 
 
 def validate_labelling(m: CubicMap, lab: Sequence[Iterable[int]]) -> bool:

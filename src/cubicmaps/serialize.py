@@ -40,28 +40,31 @@ def map_to_document(m: CubicMap, cycles: Iterable[Iterable[int]] | None = None) 
     return doc
 
 
+def cycles_from_json(cycles) -> tuple[tuple[int, ...], ...]:
+    """A list of cycles, each a list of integer edge ids; ValueError
+    otherwise.  Floats, strings and booleans are not integers."""
+    rows = (list, tuple)
+    if not isinstance(cycles, rows) or not all(isinstance(c, rows) for c in cycles):
+        raise ValueError("cycles must be a list of lists of edge ids")
+    if any(type(e) is not int for cycle in cycles for e in cycle):
+        raise ValueError("cycle edge ids must be integers")
+    return tuple(tuple(cycle) for cycle in cycles)
+
+
 def map_from_document(doc: Document) -> tuple[CubicMap, tuple[tuple[int, ...], ...]]:
     """Parse a map document; ids become 1..n positionally.
 
     No structural validation happens here: invalid maps must load so the
     validator can report on them.  Raises ValueError on malformed JSON
     shape only: a missing key, a matrix that is not a 2-D array of small
-    non-negative integers, or cycles that are not lists of integers.
-    Floats, strings and booleans are not integers.
+    non-negative integers, or cycles that ``cycles_from_json`` rejects.
     """
     try:
         ve = doc["vertex_edge"]
         fe = doc["face_edge"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"map document missing key: {exc}") from exc
-    m = CubicMap(ve, fe)
-    try:
-        cycles = tuple(tuple(cycle) for cycle in doc.get("cycles") or [])
-    except TypeError as exc:
-        raise ValueError(f"malformed map document: {exc}") from exc
-    if any(type(e) is not int for cycle in cycles for e in cycle):
-        raise ValueError("cycle edge ids must be integers")
-    return m, cycles
+    return CubicMap(ve, fe), cycles_from_json(doc.get("cycles") or [])
 
 
 def load_map(path) -> tuple[CubicMap, tuple[tuple[int, ...], ...]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -137,9 +138,16 @@ def test_check_planted_covers_refute_conjecture_two(theta_file, tmp_path, capsys
     assert witness.exists()
 
 
-def test_check_malformed_covers_file(theta_file, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ["[5]", '{"a": 1}', '[[["1", 2]]]', "[[[1.0, 2.0]]]", "[[[true, 2]]]"],
+    ids=["integer_cover", "object", "string_id", "float_ids", "bool_id"],
+)
+def test_check_malformed_covers_file(theta_file, tmp_path, text):
+    # the covers file is a list of covers, each a list of cycles, each a
+    # list of JSON integers, like a map document's cycles
     covers = tmp_path / "covers.json"
-    covers.write_text("[5]")
+    covers.write_text(text)
     assert main(["check", "--input", theta_file, "--covers", str(covers)]) == 2
 
 
@@ -165,6 +173,31 @@ def test_check_cap_env_override(tmp_path, monkeypatch, theta_file, capsys):
     out, err = capsys.readouterr()
     assert "CCG_ORACLE_CAP" in err
     assert "Traceback" not in out + err
+
+
+def test_check_rejects_negative_cap(theta_file, monkeypatch, capsys):
+    assert main(["check", "--input", theta_file, "--cap", "-3"]) == 2
+    assert "--cap" in capsys.readouterr().err
+    monkeypatch.setenv("CCG_ORACLE_CAP", "-1")
+    assert main(["check", "--input", theta_file]) == 2
+    assert "CCG_ORACLE_CAP" in capsys.readouterr().err
+    assert main(["check", "--input", theta_file, "--cap", "0"]) == 4
+
+
+# sha256 of the printed lines and the --out document of ``enumerate`` on
+# each bundled map below in turn, pinned before ``enumerate`` reused ``grow``
+ENUMERATE_SHA256 = "27bb2763ebca43df7196314e46861a705c70a906071bc14fcd3ddbb2ac8b1204"
+
+
+def test_enumerate_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for name in ("cube", "theta", "tetrahedron", "two_kempe_classes", "non_hamiltonian_16"):
+        out = tmp_path / f"{name}.json"
+        path = str(fixture_path(f"{name}.json"))
+        assert main(["enumerate", "--input", path, "--out", str(out)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == ENUMERATE_SHA256
 
 
 def test_export_json_round_trip(cube_file, tmp_path):

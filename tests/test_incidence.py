@@ -15,10 +15,12 @@ import pytest
 import cubicmaps
 from cubicmaps import (
     CubicMap,
+    InvalidCover,
     MalformedFace,
     NotACycle,
     NotTwoRegular,
     canonical_cycle,
+    check_cover,
     decompose_two_factor,
     euler_check,
     face_boundary,
@@ -27,7 +29,7 @@ from cubicmaps import (
     validate_map,
 )
 from cubicmaps.fixtures import tetrahedron_map, theta_map
-from cubicmaps.incidence import face_boundary_walk
+from cubicmaps.incidence import edge_mask, face_boundary_walk, mask_edges, walk_cycles
 
 from conftest import random_insertion_walk
 
@@ -83,6 +85,17 @@ def test_order_cycle_rejects_open_path(cube):
         order_cycle(cube, {42})
 
 
+@pytest.mark.parametrize("cycle", [(1.0, 2.0), (True, 2), ("1", 2), (1, 2.0)])
+def test_check_cover_rejects_non_integer_ids(theta, cycle):
+    # 1.0 and True hash like edge 1, so a lookup alone would accept them
+    with pytest.raises(InvalidCover):
+        check_cover(theta, [cycle])
+    with pytest.raises(NotACycle):
+        order_cycle(theta, cycle)
+    with pytest.raises(NotTwoRegular):
+        decompose_two_factor(theta, cycle)
+
+
 def test_order_cycle_rejects_disconnected_set(cube):
     with pytest.raises(NotACycle):
         order_cycle(cube, {1, 9, 10, 11, 3, 4, 5, 6})
@@ -92,6 +105,17 @@ def test_order_cycle_idempotent_on_canonical(cube):
     for cycle in [(1, 9, 10, 11), (3, 4, 5, 6)]:
         assert order_cycle(cube, frozenset(cycle)) == cycle
         assert canonical_cycle(cycle) == cycle
+
+
+def test_masks_are_keyed_by_edge_id():
+    m, _ = random_insertion_walk(theta_map(), 3, random.Random(5))
+    assert max(m.edge_ids) > m.n_edges  # retired ids leave gaps
+    cycle = face_boundary(m, m.face_ids[-1])
+    mask = edge_mask(cycle)
+    assert mask == sum(1 << e for e in cycle)
+    assert mask_edges(mask) == tuple(sorted(cycle))
+    [walk] = walk_cycles(m, mask)
+    assert walk[0] == min(cycle) and canonical_cycle(walk) == cycle
 
 
 def test_face_boundary_quads(cube):

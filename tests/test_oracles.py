@@ -6,6 +6,7 @@ import pytest
 from cubicmaps import (
     CapExceeded,
     NoHamiltonian,
+    NotTwoRegular,
     all_even_cycle_covers,
     all_perfect_matchings,
     all_proper_labellings,
@@ -53,6 +54,15 @@ def _two_thetas() -> CubicMap:
         vertex_edges={1: (1, 2, 3), 2: (1, 2, 3), 3: (4, 5, 6), 4: (4, 5, 6)},
         face_edges={1: (1, 2), 2: (2, 3), 3: (4, 5), 4: (5, 6)},
     )
+
+
+def test_even_covers_check_the_two_factor():
+    """On a non-cubic map the complement of a matching is not 2-regular,
+    and an unchecked walk of it never ends; the oracle must raise."""
+    quadruple = CubicMap.from_membership({1: (1, 2, 3, 4), 2: (1, 2, 3, 4)}, {})
+    assert len(all_perfect_matchings(quadruple)) == 4
+    with pytest.raises(NotTwoRegular):
+        all_even_cycle_covers(quadruple)
 
 
 def _brute_force_matchings(m):
