@@ -50,13 +50,16 @@ def _load(args):
         raise _CliFailure(2, f"cannot read map document: {exc}") from exc
 
 
-def _load_valid(args):
+def _load_valid(args, seeded: bool = False):
     """Load the map and its seed cycles; an invalid map fails with exit 1
-    and its validation report, before any derived adjacency is used."""
+    and its validation report, before any derived adjacency is used.  A
+    ``seeded`` command also fails with exit 2 when there are no cycles."""
     m, cycles = _load(args)
     report = validate_map(m)
     if report:
         raise _CliFailure(1, "invalid map:\n" + "\n".join(report))
+    if seeded and not cycles:
+        raise _CliFailure(2, "input document has no seed cycles")
     return m, cycles
 
 
@@ -87,9 +90,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    m, cycles = _load_valid(args)
-    if not cycles:
-        raise _CliFailure(2, "input document has no seed cycles")
+    m, cycles = _load_valid(args, seeded=True)
     step = grow(m, cycles, iterations=0, rng_seed=0)[0]
     if not step.hamiltonian:
         print("warning: no Hamiltonian cycle among the covers")
@@ -106,14 +107,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    m, cycles = _load_valid(args)
-    if not cycles:
-        raise _CliFailure(2, "input document has no seed cycles")
+    m, cycles = _load_valid(args, seeded=True)
     if args.iterations < 0:
         raise _CliFailure(2, "--iterations must be >= 0")
-    cover = check_cover(m, cycles)
     try:
-        steps = grow(m, cover, iterations=args.iterations, rng_seed=args.seed)
+        steps = grow(m, cycles, iterations=args.iterations, rng_seed=args.seed)
     except NoCompatibleInsertion as exc:
         witness_path = args.out or "shared_cycle_witness.json"
         with open(witness_path, "w", encoding="utf-8") as fh:
@@ -135,9 +133,7 @@ def cmd_grow(args) -> int:
 
 
 def cmd_check(args) -> int:
-    m, cycles = _load_valid(args)
-    if not cycles:
-        raise _CliFailure(2, "input document has no seed cycles")
+    m, cycles = _load_valid(args, seeded=True)
     cap = _resolve_cap(args)
     if m.n_edges > cap:
         raise CapExceeded(f"map has {m.n_edges} edges, oracle cap is {cap}")

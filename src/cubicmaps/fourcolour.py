@@ -138,27 +138,23 @@ def validate_rotation(rmap: RotationMap) -> None:
         raise InvalidRotation("rotation map is not connected")
 
 
-def _face_orbits(rotations: dict[int, tuple[int, ...]], other) -> list[tuple]:
+def _face_orbits(rmap: RotationMap) -> list[tuple]:
     """Orbits of darts (vertex, outgoing edge) under face traversal: after
     crossing an edge, leave along its predecessor in the arrival rotation."""
-    darts = [(v, e) for v in sorted(rotations) for e in rotations[v]]
+    darts = [(v, e) for v in sorted(rmap.rotations) for e in rmap.rotations[v]]
     pending = set(darts)
     orbits = []
-    for start in darts:
-        if start not in pending:
-            continue
+    for cur in darts:
         orbit = []
-        cur = start
-        while True:
+        while cur in pending:
+            pending.remove(cur)
             orbit.append(cur)
-            pending.discard(cur)
             v, e = cur
-            w = other(e, v)
-            rot = rotations[w]
+            w = rmap.other_endpoint(e, v)
+            rot = rmap.rotations[w]
             cur = (w, rot[rot.index(e) - 1])
-            if cur == start:
-                break
-        orbits.append(tuple(orbit))
+        if orbit:
+            orbits.append(tuple(orbit))
     return orbits
 
 
@@ -187,12 +183,20 @@ def blow_up(rmap: RotationMap) -> tuple[CubicMap, BlowUpMapping]:
     """Replace every degree-d vertex by a d-cycle of degree-3 vertices in
     rotation order; original edges reattach to the matching ring vertex.
 
+    The corner of edge ``e`` at ``v`` has rotation (``e``, ring edge
+    (v, e), ring edge before it), where ring edge (v, e) joins it to the
+    next corner of ``v``.  Face traversal in the blown-up map therefore
+    crosses each original edge and then one ring edge: the counterpart of
+    an original face is its own edges plus ring edge (v, e) for each of its
+    darts (v, e), and the ring face of ``v`` is its d ring edges.
+
     Returns the cubic map plus the face mapping.  The original face with
     the smallest boundary key becomes the outer face, and so does its
-    blown-up counterpart.
+    blown-up counterpart; the other blown-up faces are numbered from 1 in
+    order of their sorted edges.
     """
     validate_rotation(rmap)
-    orig_orbits = _face_orbits(rmap.rotations, rmap.other_endpoint)
+    orig_orbits = _face_orbits(rmap)
     n_edges = len(rmap.endpoints)
     n_vertices = len(rmap.rotations)
     if len(orig_orbits) != n_edges - n_vertices + 2:
@@ -202,85 +206,43 @@ def blow_up(rmap: RotationMap) -> tuple[CubicMap, BlowUpMapping]:
         if len(edges) != len(set(edges)):
             raise InvalidRotation("map has a bridge (an edge borders one face twice)")
 
+    # corners and ring edges, minted in sorted vertex / rotation order
+    new_rotations: dict[int, tuple[int, ...]] = {}
+    ring: dict[tuple[int, int], int] = {}
+    rings: dict[int, tuple[int, ...]] = {}
+    next_edge = max(rmap.endpoints) + 1
+    for v in sorted(rmap.rotations):
+        rot = rmap.rotations[v]
+        rings[v] = tuple(range(next_edge, next_edge + len(rot)))
+        for i, e in enumerate(rot):
+            ring[(v, e)] = rings[v][i]
+            new_rotations[len(new_rotations) + 1] = (e, rings[v][i], rings[v][i - 1])
+        next_edge += len(rot)
+
     orig_orbits.sort(key=_orbit_key)
     orbit_face: list[FaceKey] = [OUTER] + list(range(1, len(orig_orbits)))
     dart_to_orig: dict[tuple[int, int], FaceKey] = {}
     original_faces = {}
+    counterpart = {}
     for face, orbit in zip(orbit_face, orig_orbits):
         original_faces[face] = _orbit_key(orbit)
+        counterpart[face] = tuple(sorted(original_faces[face] + tuple(ring[d] for d in orbit)))
         for dart in orbit:
             dart_to_orig[dart] = face
     original_edge_faces = {}
     for e, (p, q) in rmap.endpoints.items():
         original_edge_faces[e] = (dart_to_orig[(p, e)], dart_to_orig[(q, e)])
 
-    # corners and ring edges, minted in sorted vertex / rotation order
-    corner: dict[tuple[int, int], int] = {}
-    counter = 1
-    for v in sorted(rmap.rotations):
-        for i in range(len(rmap.rotations[v])):
-            corner[(v, i)] = counter
-            counter += 1
-    ring: dict[tuple[int, int], int] = {}
-    next_edge = max(rmap.endpoints) + 1
-    for v in sorted(rmap.rotations):
-        for i in range(len(rmap.rotations[v])):
-            ring[(v, i)] = next_edge
-            next_edge += 1
-
-    position = {}
-    for v, rot in rmap.rotations.items():
-        for i, e in enumerate(rot):
-            position[(v, e)] = i
-
-    new_rotations: dict[int, tuple[int, ...]] = {}
-    new_endpoints: dict[int, tuple[int, int]] = {}
-    for v in sorted(rmap.rotations):
-        d = len(rmap.rotations[v])
-        for i, e in enumerate(rmap.rotations[v]):
-            c = corner[(v, i)]
-            new_rotations[c] = (e, ring[(v, i)], ring[(v, (i - 1) % d)])
-        for i in range(d):
-            new_endpoints[ring[(v, i)]] = (corner[(v, i)], corner[(v, (i + 1) % d)])
-    for e, (p, q) in rmap.endpoints.items():
-        new_endpoints[e] = (corner[(p, position[(p, e)])], corner[(q, position[(q, e)])])
-
-    def new_other(e, v):
-        a, b = new_endpoints[e]
-        return b if v == a else a
-
-    new_orbits = _face_orbits(new_rotations, new_other)
-    dart_to_new_orbit = {}
-    for idx, orbit in enumerate(new_orbits):
-        for dart in orbit:
-            dart_to_new_orbit[dart] = idx
-
-    # counterpart of an original face: follow any of its darts into the ring
-    orig_to_orbit_idx = {}
-    for face, orbit in zip(orbit_face, orig_orbits):
-        v, e = orbit[0]
-        orig_to_orbit_idx[face] = dart_to_new_orbit[(corner[(v, position[(v, e)])], e)]
-    outer_idx = orig_to_orbit_idx[OUTER]
-
-    internal = [i for i in range(len(new_orbits)) if i != outer_idx]
-    internal.sort(key=lambda i: _orbit_key(new_orbits[i]))
-    face_id_of_orbit: dict[int, FaceKey] = {outer_idx: OUTER}
-    for fid, idx in enumerate(internal, start=1):
-        face_id_of_orbit[idx] = fid
-
-    face_to_new = {face: face_id_of_orbit[idx] for face, idx in orig_to_orbit_idx.items()}
-    vertex_ring_face = {}
-    for v in sorted(rmap.rotations):
-        idx = dart_to_new_orbit[(corner[(v, 0)], ring[(v, 0)])]
-        vertex_ring_face[v] = face_id_of_orbit[idx]
-
-    cubic = CubicMap.from_membership(
-        new_rotations, {fid: _orbit_key(new_orbits[i]) for fid, i in enumerate(internal, start=1)}
-    )
+    internal = sorted([*counterpart.values(), *rings.values()])
+    internal.remove(counterpart[OUTER])
+    face_id: dict[tuple[int, ...], FaceKey] = {counterpart[OUTER]: OUTER}
+    for fid, key in enumerate(internal, start=1):
+        face_id[key] = fid
+    cubic = CubicMap.from_membership(new_rotations, dict(enumerate(internal, start=1)))
 
     mapping = BlowUpMapping(
-        face_to_new=face_to_new,
-        vertex_ring_face=vertex_ring_face,
+        face_to_new={face: face_id[key] for face, key in counterpart.items()},
+        vertex_ring_face={v: face_id[key] for v, key in rings.items()},
         original_faces=original_faces,
         original_edge_faces=original_edge_faces,
     )

@@ -351,7 +351,8 @@ def _degree_two_mask(
     The one degree check of the package.  Checks the vertices the edges
     touch, or with ``spanning`` every vertex of the map in id order, and
     raises ``error`` at the first edge that is not an edge id of the map
-    (floats, booleans and strings are not ids) or offending vertex.
+    (floats, booleans, strings and unhashable values are not ids), at the
+    first offending vertex, or if an edge is listed twice.
     """
     ends = m.edge_vertices
     degree = dict.fromkeys(m.vertex_ids, 0) if spanning else {}
@@ -365,6 +366,10 @@ def _degree_two_mask(
     for v, d in degree.items():
         if d != 2:
             raise error(f"vertex {v} meets {d} of the edges (expected 2)")
+    # k vertices of degree two meet k edges, counted with repeats; an edge
+    # listed twice would also leave ``walk_cycles`` a vertex of degree one
+    if mask.bit_count() != len(degree):
+        raise error("an edge is listed twice")
     return mask
 
 
@@ -374,10 +379,10 @@ def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
     Every touched vertex must have induced degree exactly 2 and the edges
     must form one cycle; raises NotACycle otherwise.
     """
-    edges = frozenset(edge_set)
-    if not edges:
+    mask = _degree_two_mask(m, edge_set, NotACycle)
+    if not mask:
         raise NotACycle("empty edge set")
-    walks = walk_cycles(m, _degree_two_mask(m, edges, NotACycle))
+    walks = walk_cycles(m, mask)
     if len(walks) > 1:
         raise NotACycle("edge set is disconnected")
     return canonical_cycle(walks[0])
@@ -432,7 +437,7 @@ def decompose_two_factor(m: CubicMap, on_edges: Iterable[int]) -> Cover:
     set (NotTwoRegular otherwise).  Cycles come out canonical, sorted by
     (length, sequence).
     """
-    return mask_cover(m, _degree_two_mask(m, frozenset(on_edges), NotTwoRegular, spanning=True))
+    return mask_cover(m, _degree_two_mask(m, on_edges, NotTwoRegular, spanning=True))
 
 
 def canonical_cover(cover: Iterable[Sequence[int]]) -> Cover:
@@ -445,26 +450,19 @@ def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
     """Validate the cover invariants; return the canonical form.
 
     Raises InvalidCover unless the cycles are pairwise vertex-disjoint
-    even closed walks whose vertices together cover the whole map.
+    even closed walks whose vertices together cover the whole map.  One
+    degree check covers all the given edges, one walk splits their union
+    into cycles, and the walked cycles must be the given ones.
     """
     cover = tuple(tuple(c) for c in cover)
     if not cover:
         raise InvalidCover("cover has no cycles")
-    cycles = []
-    for cyc in cover:
-        if len(set(cyc)) != len(cyc):
-            raise InvalidCover(f"cycle {cyc} repeats an edge")
-        try:
-            ordered = order_cycle(m, cyc)
-        except NotACycle as exc:
-            raise InvalidCover(f"cycle {cyc}: {exc}") from exc
-        if len(ordered) % 2 != 0:
-            raise InvalidCover(f"cycle {ordered} has odd length {len(ordered)}")
-        cycles.append(ordered)
-    on = set().union(*cycles)
-    if len(on) != sum(map(len, cycles)):
-        raise InvalidCover("cycles share an edge")
-    # Each cycle meets its own vertices twice, so a vertex meeting two
-    # edges of the union lies on exactly one cycle.
-    _degree_two_mask(m, on, InvalidCover, spanning=True)
-    return canonical_cover(cycles)
+    edges = [e for cycle in cover for e in cycle]
+    mask = _degree_two_mask(m, edges, InvalidCover, spanning=True)
+    walks = walk_cycles(m, mask)
+    if {frozenset(w) for w in walks} != {frozenset(c) for c in cover}:
+        raise InvalidCover("the given cycles are not the cycles of their union")
+    for walk in walks:
+        if len(walk) % 2 != 0:
+            raise InvalidCover(f"cycle {canonical_cycle(walk)} has odd length {len(walk)}")
+    return canonical_cover(walks)

@@ -56,15 +56,17 @@ def map_from_document(doc: Document) -> tuple[CubicMap, tuple[tuple[int, ...], .
 
     No structural validation happens here: invalid maps must load so the
     validator can report on them.  Raises ValueError on malformed JSON
-    shape only: a missing key, a matrix that is not a 2-D array of small
-    non-negative integers, or cycles that ``cycles_from_json`` rejects.
+    shape only: a missing matrix key, a matrix that is not a 2-D array of
+    small non-negative integers, or cycles that ``cycles_from_json``
+    rejects.  A missing ``cycles`` key means no cycles; ``null``, ``{}``,
+    ``0`` and ``""`` are malformed cycles like any other non-list.
     """
     try:
         ve = doc["vertex_edge"]
         fe = doc["face_edge"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"map document missing key: {exc}") from exc
-    return CubicMap(ve, fe), cycles_from_json(doc.get("cycles") or [])
+    return CubicMap(ve, fe), cycles_from_json(doc.get("cycles", []))
 
 
 def load_map(path) -> tuple[CubicMap, tuple[tuple[int, ...], ...]]:

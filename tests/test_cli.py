@@ -263,6 +263,11 @@ MUTATIONS = {
     "string_entry": (lambda d: d["vertex_edge"][0].__setitem__(0, "1"), (2, 2, 2, 2, 2, 2)),
     "bool_entry": (lambda d: d["vertex_edge"][0].__setitem__(0, True), (2, 2, 2, 2, 2, 2)),
     "float_cycle_edge": (lambda d: d["cycles"][0].__setitem__(0, 1.5), (2, 2, 2, 2, 2, 2)),
+    # falsy non-lists are malformed cycles, not "no cycles"
+    "cycles_null": (_set("cycles", None), (2, 2, 2, 2, 2, 2)),
+    "cycles_empty_object": (_set("cycles", {}), (2, 2, 2, 2, 2, 2)),
+    "cycles_zero": (_set("cycles", 0), (2, 2, 2, 2, 2, 2)),
+    "cycles_empty_string": (_set("cycles", ""), (2, 2, 2, 2, 2, 2)),
 }
 
 # name -> the exact validate_map report of every document of MUTATIONS that loads

@@ -128,6 +128,8 @@ INVALID_COVERS = {
     "cycles_share_an_edge": ("cube", ((1, 2, 3, 12), (5, 7, 10, 8), (1, 9, 10, 11))),
     "cycles_share_an_edge_and_both_vertices": ("theta", ((1, 2), (2, 3))),
     "same_cycle_twice": ("cube", ((1, 9, 10, 11), (1, 9, 10, 11), (3, 4, 5, 6))),
+    "one_edge_twice": ("theta", ((1, 1),)),
+    "one_edge_in_two_cycles": ("theta", ((1,), (1,))),
     "vertex_on_no_cycle": ("cube", ((1, 9, 10, 11),)),
 }
 MAPS = {"cube": cube_map, "theta": theta_map, "tetrahedron": tetrahedron_map}

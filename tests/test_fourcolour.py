@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from cubicmaps import (
@@ -17,12 +20,14 @@ from cubicmaps import (
     validate_pulled_back,
 )
 from cubicmaps.fixtures import (
+    fixture_path,
     tetrahedron_labelling,
     tetrahedron_map,
     tetrahedron_rotation,
     wheel_rotation,
 )
 from cubicmaps.fourcolour import _CLASS_FLIPS, BlowUpMapping
+from cubicmaps.serialize import canonical_json, map_to_document, rotation_from_document
 
 
 def test_dual_adjacency_cube(cube):
@@ -183,3 +188,61 @@ def test_invalid_rotations_are_rejected():
 def test_colour_constants():
     assert COLOURS == ("++", "+-", "-+", "--")
     assert len(set(COLOURS)) == 4
+
+
+def _bipyramid(n: int, reverse: bool) -> RotationMap:
+    """An n-gon rim with one apex on each side: rim edge i joins rim
+    vertices i and i+1, spoke n+i joins vertex i to the top apex n+1 and
+    spoke 2n+i to the bottom apex n+2.  ``reverse`` mirrors the embedding."""
+    top, bottom = n + 1, n + 2
+    rotations = {}
+    endpoints = {}
+    for i in range(1, n + 1):
+        rotations[i] = (i, n + i, i - 1 if i > 1 else n, 2 * n + i)
+        endpoints[i] = (i, i % n + 1)
+        endpoints[n + i] = (i, top)
+        endpoints[2 * n + i] = (i, bottom)
+    rotations[top] = tuple(range(n + 1, 2 * n + 1))
+    rotations[bottom] = tuple(range(3 * n, 2 * n, -1))
+    if reverse:
+        rotations = {v: rot[::-1] for v, rot in rotations.items()}
+    return RotationMap(rotations=rotations, endpoints=endpoints)
+
+
+def _blow_up_rotations() -> list[RotationMap]:
+    rmaps = [tetrahedron_rotation()]
+    rmaps += [wheel_rotation(n) for n in range(3, 13)]
+    for name in ("wheel4.json", "wheel5.json"):
+        doc = json.loads(fixture_path(name).read_text())
+        rmaps.append(RotationMap(*rotation_from_document(doc)))
+    rmaps += [_bipyramid(n, reverse) for n in range(3, 10) for reverse in (False, True)]
+    return rmaps
+
+
+def _keyed(d: dict) -> dict:
+    return {str(k): v for k, v in d.items()}
+
+
+# sha256 of ``blow_up`` on the 27 rotation maps of ``_blow_up_rotations``:
+# the cubic map's document and membership plus every mapping field,
+# pinned before blow-up read its faces off the original face orbits
+BLOW_UP_SHA256 = "d4a57486bd930b40f5e96b7383c9a3b05dece4c45e48bb8ae6417fd7f1641ee3"
+
+
+def test_blow_up_digest():
+    h = hashlib.sha256()
+    rmaps = _blow_up_rotations()
+    assert len(rmaps) == 27
+    for rmap in rmaps:
+        cubic, mapping = blow_up(rmap)
+        record = {
+            "map": map_to_document(cubic),
+            "vertex_edges": _keyed(cubic.vertex_edges),
+            "face_edges": _keyed(cubic.face_edges),
+            "face_to_new": _keyed(mapping.face_to_new),
+            "vertex_ring_face": _keyed(mapping.vertex_ring_face),
+            "original_faces": _keyed(mapping.original_faces),
+            "original_edge_faces": _keyed(mapping.original_edge_faces),
+        }
+        h.update((canonical_json(record) + "\n").encode())
+    assert h.hexdigest() == BLOW_UP_SHA256

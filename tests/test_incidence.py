@@ -85,15 +85,24 @@ def test_order_cycle_rejects_open_path(cube):
         order_cycle(cube, {42})
 
 
-@pytest.mark.parametrize("cycle", [(1.0, 2.0), (True, 2), ("1", 2), (1, 2.0)])
+@pytest.mark.parametrize("cycle", [(1.0, 2.0), (True, 2), ("1", 2), (1, 2.0), ([1], 2)])
 def test_check_cover_rejects_non_integer_ids(theta, cycle):
-    # 1.0 and True hash like edge 1, so a lookup alone would accept them
+    # 1.0 and True hash like edge 1, so a lookup alone would accept them;
+    # an unhashable id must raise the typed error, not a TypeError
     with pytest.raises(InvalidCover):
         check_cover(theta, [cycle])
     with pytest.raises(NotACycle):
         order_cycle(theta, cycle)
     with pytest.raises(NotTwoRegular):
         decompose_two_factor(theta, cycle)
+
+
+def test_edge_listed_twice_is_rejected(theta):
+    # both ends of edge 1 meet it twice, which a degree count alone accepts
+    with pytest.raises(NotACycle):
+        order_cycle(theta, [1, 1])
+    with pytest.raises(NotTwoRegular):
+        decompose_two_factor(theta, [1, 1])
 
 
 def test_order_cycle_rejects_disconnected_set(cube):
