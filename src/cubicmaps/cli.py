@@ -63,6 +63,18 @@ def _load_valid(args, seeded: bool = False):
     return m, cycles
 
 
+def _write(path, text: str = "", steps=None) -> None:
+    """Write ``text``, or the trace of ``steps``; any OSError exits 2."""
+    try:
+        if steps is not None:
+            write_trace(steps, path)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise _CliFailure(2, f"cannot write {path}: {exc}") from exc
+
+
 def _resolve_cap(args) -> int:
     if args.cap is not None:
         cap, source = args.cap, "--cap"
@@ -101,8 +113,7 @@ def cmd_enumerate(args) -> int:
     if args.out:
         doc = step_to_document(0, step)
         doc = {key: doc[key] for key in ("covers", "labellings", "hamiltonian")}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc) + "\n")
+        _write(args.out, canonical_json(doc) + "\n")
     return 0
 
 
@@ -114,8 +125,7 @@ def cmd_grow(args) -> int:
         steps = grow(m, cycles, iterations=args.iterations, rng_seed=args.seed)
     except NoCompatibleInsertion as exc:
         witness_path = args.out or "shared_cycle_witness.json"
-        with open(witness_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(exc.witness) + "\n")
+        _write(witness_path, canonical_json(exc.witness) + "\n")
         print(f"no compatible insertion exists; witness written to {witness_path}")
         return 3
     for i, step in enumerate(steps):
@@ -127,7 +137,7 @@ def cmd_grow(args) -> int:
         if not step.hamiltonian:
             print(f"warning: step {i} found no Hamiltonian cycle in the closure")
     if args.trace:
-        write_trace(steps, args.trace)
+        _write(args.trace, steps=steps)
         print(f"trace written to {args.trace}")
     return 0
 
@@ -158,8 +168,7 @@ def cmd_check(args) -> int:
     refuted = [rep for rep in reports if not rep.holds]
     if refuted:
         witness_path = args.out or "conjecture_witnesses.json"
-        with open(witness_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json([rep.to_document() for rep in refuted]) + "\n")
+        _write(witness_path, canonical_json([rep.to_document() for rep in refuted]) + "\n")
         print(f"witnesses written to {witness_path}")
         return 1
     return 0
@@ -174,8 +183,7 @@ def cmd_export(args) -> int:
         labelling = labelling_from_cover(m, cover) if cover else None
         payload = to_dot(m, labelling=labelling, cover=cover)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
     return 0

@@ -31,13 +31,10 @@ FaceColouring = dict[FaceKey, str]
 def dual_adjacency(m: CubicMap) -> dict[int, tuple[FaceKey, FaceKey]]:
     """Edge id -> the two faces it separates (external edges pair their
     internal face with the outer face)."""
-    out: dict[int, tuple[FaceKey, FaceKey]] = {}
-    for e, faces in m.edge_internal_faces.items():
-        if len(faces) == 2:
-            out[e] = (faces[0], faces[1])
-        else:
-            out[e] = (faces[0], OUTER)
-    return out
+    return {
+        e: (faces[0], faces[1] if len(faces) == 2 else OUTER)
+        for e, faces in m.edge_internal_faces.items()
+    }
 
 
 def face_colouring_from_labelling(m: CubicMap, lab) -> FaceColouring:
@@ -48,16 +45,11 @@ def face_colouring_from_labelling(m: CubicMap, lab) -> FaceColouring:
     so an improper labelling cannot slip through.
     """
     lab = canonical_labelling(lab)
-    flip_of = {}
-    for i, cls in enumerate(lab):
-        for e in cls:
-            flip_of[e] = _CLASS_FLIPS[i]
+    flip_of = {e: _CLASS_FLIPS[i] for i, cls in enumerate(lab) for e in cls}
     if set(flip_of) != m.all_edges:
         raise InconsistentLabelling("labelling classes do not partition the edges")
     dual = dual_adjacency(m)
-    neighbours: dict[FaceKey, list[tuple[FaceKey, int]]] = {OUTER: []}
-    for f in m.face_ids:
-        neighbours[f] = []
+    neighbours: dict[FaceKey, list[tuple[FaceKey, int]]] = {f: [] for f in (OUTER, *m.face_ids)}
     for e, (a, b) in sorted(dual.items()):
         neighbours[a].append((b, flip_of[e]))
         neighbours[b].append((a, flip_of[e]))
@@ -229,9 +221,9 @@ def blow_up(rmap: RotationMap) -> tuple[CubicMap, BlowUpMapping]:
         counterpart[face] = tuple(sorted(original_faces[face] + tuple(ring[d] for d in orbit)))
         for dart in orbit:
             dart_to_orig[dart] = face
-    original_edge_faces = {}
-    for e, (p, q) in rmap.endpoints.items():
-        original_edge_faces[e] = (dart_to_orig[(p, e)], dart_to_orig[(q, e)])
+    original_edge_faces = {
+        e: (dart_to_orig[(p, e)], dart_to_orig[(q, e)]) for e, (p, q) in rmap.endpoints.items()
+    }
 
     internal = sorted([*counterpart.values(), *rings.values()])
     internal.remove(counterpart[OUTER])

@@ -424,10 +424,7 @@ def face_boundary_walk(m: CubicMap, face: int) -> list[tuple[int, int]]:
 
 def off_edges(m: CubicMap, cover: Cover) -> frozenset[int]:
     """Edges on no cycle of the cover: exactly V/2 of them for a valid cover."""
-    on = set()
-    for cycle in cover:
-        on.update(cycle)
-    return m.all_edges - on
+    return m.all_edges - {e for cycle in cover for e in cycle}
 
 
 def decompose_two_factor(m: CubicMap, on_edges: Iterable[int]) -> Cover:

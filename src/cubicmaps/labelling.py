@@ -28,9 +28,10 @@ def canonical_labelling(classes: Iterable[Iterable[int]]) -> Labelling:
 
 def _to_labellings(masks: set[tuple[int, int, int]]) -> list[Labelling]:
     """Convert class-mask triples, each distinct class mask once: labellings
-    of one cover share its off mask, and closures reuse their halves."""
+    of one cover share its off mask, and closures reuse their halves.  A
+    labelling is the sorted triple of the shared ``mask_edges`` tuples."""
     edges = {c: mask_edges(c) for c in set().union(*masks)}
-    return [canonical_labelling(edges[c] for c in classes) for classes in masks]
+    return [tuple(sorted(map(edges.__getitem__, classes))) for classes in masks]
 
 
 def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
@@ -62,7 +63,9 @@ def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:
 
     ``closure`` must be what :func:`cover_closure` returned for ``m``; its
     recorded labellings are read, and its covers are not checked or split
-    again.  Raises TypeError for a plain tuple or another map's closure.
+    again.  Each distinct class is one sorted edge tuple, shared by every
+    labelling that has it.  Raises TypeError for a plain tuple or another
+    map's closure.
     """
     if not isinstance(closure, Closure) or closure.map is not m:
         raise TypeError("closure_labellings needs the result of cover_closure on this map")
@@ -80,14 +83,8 @@ def validate_labelling(m: CubicMap, lab: Sequence[Iterable[int]]) -> bool:
     union = classes[0] | classes[1] | classes[2]
     if union != m.all_edges:
         return False
-    class_of = {}
-    for i, c in enumerate(classes):
-        for e in c:
-            class_of[e] = i
-    for v, edges in m.vertex_edges.items():
-        if len({class_of[e] for e in edges}) != len(edges):
-            return False
-    return True
+    class_of = {e: i for i, c in enumerate(classes) for e in c}
+    return all(len({class_of[e] for e in es}) == len(es) for es in m.vertex_edges.values())
 
 
 def dedup_labellings(labs: Iterable[Sequence[Iterable[int]]]) -> tuple[Labelling, ...]:

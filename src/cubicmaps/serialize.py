@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from typing import Any, Iterable
 
 from .incidence import Cover, CubicMap
@@ -79,19 +80,12 @@ def map_fingerprint(m: CubicMap) -> str:
     return hashlib.sha256(canonical_json(map_to_document(m)).encode()).hexdigest()
 
 
-def covers_to_lists(covers: Iterable[Cover], emap: dict[int, int]) -> list:
-    return [[[emap[e] for e in c] for c in cover] for cover in covers]
-
-
-def labelling_to_document(lab, emap: dict[int, int] | None = None) -> Document:
-    classes = [sorted(c if emap is None else (emap[e] for e in c)) for c in lab]
-    classes.sort()
-    return {f"class_{i + 1}": cls for i, cls in enumerate(classes)}
-
-
 # ---------------------------------------------------------------------
 # Growth traces (JSON lines, one record per step)
 # ---------------------------------------------------------------------
+
+_CLASS_KEYS = ("class_1", "class_2", "class_3")
+
 
 def step_to_document(index: int, step, prev_emap=None, prev_fmap=None) -> Document:
     """One trace record.
@@ -99,16 +93,29 @@ def step_to_document(index: int, step, prev_emap=None, prev_fmap=None) -> Docume
     Edge ids in the map/covers/labellings are the current map's positional
     ids; the insertion's ``face``/``targets`` (and split keys) use the
     *previous* record's ids, while its minted ids use the current ones.
+
+    Each distinct edge tuple (a cycle or a labelling class) is translated
+    once, and every slot holding it shares that immutable tuple, which
+    encodes like a list.  Labellings must be canonical, as from
+    ``closure_labellings``: positional ids keep the id order, so the
+    translated classes stay sorted.
     """
-    vmap, emap, fmap = positional_ids(step.map)
+    return _record(index, step, positional_ids(step.map), prev_emap, prev_fmap)
+
+
+def _record(index: int, step, ids, prev_emap, prev_fmap) -> Document:
+    vmap, emap, fmap = ids
+    distinct = set(chain(step.cover, *step.covers, *step.labellings, *step.hamiltonian))
+    positional = {edges: tuple([emap[e] for e in edges]) for edges in distinct}.__getitem__
     doc: Document = {
         "step": index,
-        "map": map_to_document(step.map, cycles=step.cover),
-        "covers": covers_to_lists(step.covers, emap),
-        "labellings": [labelling_to_document(l, emap) for l in step.labellings],
-        "hamiltonian": covers_to_lists(step.hamiltonian, emap),
+        "map": map_to_document(step.map),
+        "covers": [list(map(positional, cover)) for cover in step.covers],
+        "labellings": [dict(zip(_CLASS_KEYS, map(positional, lab))) for lab in step.labellings],
+        "hamiltonian": [list(map(positional, cover)) for cover in step.hamiltonian],
         "insertion": None,
     }
+    doc["map"]["cycles"] = list(map(positional, step.cover))
     ev = step.event
     if ev is not None:
         doc["insertion"] = {
@@ -129,8 +136,9 @@ def trace_documents(steps) -> list[Document]:
     docs = []
     prev_emap = prev_fmap = None
     for i, step in enumerate(steps):
-        docs.append(step_to_document(i, step, prev_emap, prev_fmap))
-        _, prev_emap, prev_fmap = positional_ids(step.map)
+        ids = positional_ids(step.map)
+        docs.append(_record(i, step, ids, prev_emap, prev_fmap))
+        _, prev_emap, prev_fmap = ids
     return docs
 
 
@@ -152,9 +160,17 @@ def rotation_to_document(rotations: dict, endpoints: dict) -> Document:
 
 
 def rotation_from_document(doc: Document) -> tuple[dict, dict]:
+    """Parse a rotation document: ``rotations`` and ``endpoints`` are objects
+    keyed by integer ids, each value a list of integers under the rule of
+    ``cycles_from_json``; ValueError otherwise."""
     try:
-        rotations = {int(v): tuple(int(e) for e in rot) for v, rot in doc["rotations"].items()}
-        endpoints = {int(e): tuple(int(v) for v in vw) for e, vw in doc["endpoints"].items()}
+        sections = (doc["rotations"], doc["endpoints"])
+        if not all(isinstance(section, dict) for section in sections):
+            raise ValueError("rotations and endpoints must be objects")
+        rows = [row for section in sections for row in section.values()]
+        if not all(isinstance(r, (list, tuple)) and all(type(x) is int for x in r) for r in rows):
+            raise ValueError("every entry must be a list of integers")
+        rotations, endpoints = ({int(k): tuple(row) for k, row in s.items()} for s in sections)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed rotation document: {exc}") from exc
     return rotations, endpoints
@@ -171,15 +187,8 @@ def colouring_to_document(fc: dict) -> Document:
 def to_dot(m: CubicMap, labelling=None, cover: Cover | None = None) -> str:
     """Graphviz source for a map; edges keyed by id so parallel edges
     survive.  Labelling classes and cover membership become attributes."""
-    class_of = {}
-    if labelling is not None:
-        for i, cls in enumerate(labelling):
-            for e in cls:
-                class_of[e] = i + 1
-    on_cycle = set()
-    if cover is not None:
-        for cycle in cover:
-            on_cycle.update(cycle)
+    class_of = {e: i for i, cls in enumerate(labelling or (), start=1) for e in cls}
+    on_cycle = {e for cycle in cover or () for e in cycle}
     lines = ["graph map {"]
     for v in m.vertex_ids:
         lines.append(f"  v{v};")

@@ -1,0 +1,104 @@
+"""The summary arithmetic of ``tools/bench_pairs.py`` on fixed numbers."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "ok_ratio", "better": "higher"}]
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(side, pair, wall, ok=1.0, failed=0):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "ok_ratio": {"value": ok, "unit": "ratio"}}
+    result = {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
+    return {"side": side, "workload": "grow_cube", "seed": pair, "pair": pair,
+            "first": "parent", "result": result}
+
+
+PARENT = [0.50, 0.40, 0.45, 0.48, 0.42]
+CHANGE = [0.40, 0.41, 0.35, 0.36, 0.37]
+
+
+def _runs():
+    runs = [_run("parent", i, w) for i, w in enumerate(PARENT, start=1)]
+    runs += [_run("change", i, w) for i, w in enumerate(CHANGE, start=1)]
+    runs.append(_run("parent", 6, 0.1))  # an unpaired run is left out
+    return runs
+
+
+def test_summary_of_fixed_pairs(tool):
+    summary = tool.summarise(_runs(), METRICS)["grow_cube"]
+    assert summary["pairs"] == 5
+    wall = summary["wall_s"]
+    # sorted parent 0.40 0.42 0.45 0.48 0.50: exclusive quartiles at
+    # positions 1.5 and 4.5, so q1 = 0.41 and q3 = 0.49
+    assert wall["parent_median"] == 0.45 and wall["parent_iqr"] == 0.08
+    # sorted change 0.35 0.36 0.37 0.40 0.41: q1 = 0.355, q3 = 0.405
+    assert wall["change_median"] == 0.37 and wall["change_iqr"] == 0.05
+    assert wall["change_better"] == 4  # pair 2: 0.41 > 0.40
+    assert wall["parent_range"] == [0.4, 0.5] and wall["change_range"] == [0.35, 0.41]
+    assert summary["ok_ratio"]["change_better"] == 0  # ties are not wins
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["correct"] is True
+
+
+def test_failed_runs_are_counted(tool):
+    runs = _runs()
+    runs[5] = _run("change", 1, 0.40, ok=0.9, failed=1)
+    summary = tool.summarise(runs, METRICS)["grow_cube"]
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["correct"] is False
+    assert summary["ok_ratio"]["change_median"] == 1.0
+
+
+def test_claim_needs_nine_in_ten_pairs_and_a_gap_beyond_the_parent_iqr(tool):
+    summary = tool.summarise(_runs(), METRICS)
+    claim = tool.judge_claim(summary, "grow_cube.wall_s", METRICS)
+    # median gain 0.08 is not more than the parent IQR 0.08, and 4/5 < 9/10
+    assert claim == {"workload": "grow_cube", "metric": "wall_s", "pairs": 5, "pairs_won": 4,
+                     "median_gain": 0.08, "parent_iqr": 0.08, "holds": False}
+    runs = _runs()
+    runs[6] = _run("change", 2, 0.30)
+    claim = tool.judge_claim(tool.summarise(runs, METRICS), "grow_cube.wall_s", METRICS)
+    assert claim["pairs_won"] == 5
+    assert claim["median_gain"] == 0.09 and claim["holds"] is True
+    # before the first pair is complete there is nothing to judge
+    unpaired = tool.summarise([_run("parent", 1, 0.5)], METRICS)
+    assert tool.judge_claim(unpaired, "grow_cube.wall_s", METRICS) is None
+
+
+def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        side = tree.name
+        calls.append((side, workload, seed, trace))
+        wall = 0.5 if side == "parent" else 0.4
+        metrics = {"wall_s": {"value": wall, "unit": "s"}}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(tool, "export_tree", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(tool, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(tool, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "HEAD", "--pairs", "2", "--out", str(out),
+                      "--claim", "grow_cube.wall_s"]) == 0
+    doc = json.loads(out.read_text())
+    untraced = [c for c in calls if c[3] == 0]
+    assert untraced[:4] == [("parent", "grow_cube", 1, 0), ("change", "grow_cube", 1, 0),
+                            ("change", "grow_cube", 2, 0), ("parent", "grow_cube", 2, 0)]
+    assert len(doc["runs"]) == len(untraced) == 2 * 2 * len(tool.WORKLOADS)
+    assert [c for c in calls if c[3] == 1] == [
+        (side, w, tool.TRACE_SEED, 1) for side in ("parent", "change") for w in tool.WORKLOADS]
+    assert doc["trace"]["change"]["grow_cube"] == {"wall_s": 0.4}
+    assert doc["claim"]["pairs_won"] == 2 and doc["summary"]["insert_walk"]["pairs"] == 2

@@ -211,6 +211,27 @@ def test_export_json_round_trip(cube_file, tmp_path):
     assert cycles == ((1, 9, 10, 11), (3, 4, 5, 6))
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["grow", "--input", "{cube}", "--iterations", "1", "--trace", "{out}"],
+        ["enumerate", "--input", "{cube}", "--out", "{out}"],
+        ["export", "--input", "{cube}", "--out", "{out}"],
+        ["check", "--input", "{two_classes}", "--out", "{out}"],
+    ],
+    ids=["grow_trace", "enumerate_out", "export_out", "check_witness"],
+)
+def test_unwritable_output_exits_2(command, target, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json" if target == "missing_dir" else tmp_path
+    paths = {"cube": fixture_path("cube.json"), "out": out,
+             "two_classes": fixture_path("two_kempe_classes.json")}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_export_dot(theta_file, capsys):
     assert main(["export", "--input", theta_file, "--format", "dot"]) == 0
     dot = capsys.readouterr().out

@@ -3,15 +3,26 @@ import json
 import pytest
 
 from cubicmaps import CubicMap, grow, map_from_document, map_to_document, to_dot
-from cubicmaps.fixtures import cube_seed, fixture_path, theta_map, theta_seed
+from cubicmaps.fixtures import cube_map, cube_seed, fixture_path, theta_map, theta_seed
 from cubicmaps.serialize import (
     canonical_json,
-    labelling_to_document,
     load_map,
     map_fingerprint,
     positional_ids,
+    rotation_from_document,
     trace_documents,
+    write_trace,
 )
+
+
+@pytest.fixture(scope="module")
+def cube_42_steps():
+    """Cube seed 42 grown 20 times: retired edge ids leave gaps, so the
+    positional ids differ from the map's own."""
+    steps = grow(cube_map(), cube_seed(), iterations=20, rng_seed=42)
+    m = steps[-1].map
+    assert max(m.edge_ids) > m.n_edges
+    return steps
 
 
 def test_document_round_trip(cube):
@@ -74,9 +85,69 @@ def test_fingerprint_is_invariant_under_renumbering():
     assert map_fingerprint(m) != map_fingerprint(theta_map())
 
 
-def test_labelling_document_shape():
-    doc = labelling_to_document(((2,), (1,), (3,)))
-    assert doc == {"class_1": [1], "class_2": [2], "class_3": [3]}
+def test_labelling_document_shape(cube_42_steps):
+    record = json.loads(canonical_json(trace_documents(cube_42_steps)[-1]))
+    assert record["labellings"]
+    for lab in record["labellings"]:
+        assert list(lab) == ["class_1", "class_2", "class_3"]
+        classes = list(lab.values())
+        assert all(cls == sorted(cls) for cls in classes)
+        assert classes == sorted(classes)
+        n_edges = len(record["map"]["vertex_edge"][0])
+        assert sorted(e for cls in classes for e in cls) == list(range(1, n_edges + 1))
+
+
+def _reference_record(index, step, prev_emap, prev_fmap):
+    """A trace record built edge by edge: every cover, Hamiltonian cover
+    and labelling class is translated and sorted on its own."""
+    vmap, emap, fmap = positional_ids(step.map)
+
+    def covers_to_lists(covers):
+        return [[[emap[e] for e in c] for c in cover] for cover in covers]
+
+    def labelling_to_document(lab):
+        classes = sorted(sorted(emap[e] for e in c) for c in lab)
+        return {f"class_{i + 1}": cls for i, cls in enumerate(classes)}
+
+    doc = {
+        "step": index,
+        "map": map_to_document(step.map, cycles=step.cover),
+        "covers": covers_to_lists(step.covers),
+        "labellings": [labelling_to_document(lab) for lab in step.labellings],
+        "hamiltonian": covers_to_lists(step.hamiltonian),
+        "insertion": None,
+    }
+    ev = step.event
+    if ev is not None:
+        doc["insertion"] = {
+            "face": prev_fmap[ev.face],
+            "targets": [prev_emap[e] for e in ev.targets],
+            "new_vertices": [vmap[v] for v in ev.new_vertices],
+            "new_edge": emap[ev.new_edge],
+            "split_edges": {
+                str(prev_emap[old]): [emap[e] for e in segs]
+                for old, segs in sorted(ev.split_edges.items())
+            },
+            "new_face": fmap[ev.new_face],
+        }
+    return doc
+
+
+def test_write_trace_matches_edge_by_edge_reference(cube_42_steps, tmp_path):
+    lines = []
+    prev_emap = prev_fmap = None
+    for i, step in enumerate(cube_42_steps):
+        lines.append(canonical_json(_reference_record(i, step, prev_emap, prev_fmap)) + "\n")
+        _, prev_emap, prev_fmap = positional_ids(step.map)
+    path = tmp_path / "trace.jsonl"
+    write_trace(cube_42_steps, path)
+    written = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # the acceptance digests hash trace_documents: tie them to the bytes written
+    documents = [canonical_json(d) + "\n" for d in trace_documents(cube_42_steps)]
+    for expected in (lines, documents):
+        # compared record by record: a diff of megabyte lines would not end
+        differ = [i for i, (a, b) in enumerate(zip(written, expected)) if a != b]
+        assert len(written) == len(expected) == 21 and not differ, f"records {differ} differ"
 
 
 def test_trace_documents_reference_consistent_ids():
@@ -131,6 +202,28 @@ def test_rotation_document_round_trip():
         assert rotation_to_document(rotations, endpoints) == doc
         cubic, _ = blow_up(RotationMap(rotations, endpoints))
         assert cubic.n_vertices == sum(len(r) for r in rotations.values())
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(rotations=list(doc["rotations"].values())),
+        lambda doc: doc.update(endpoints=list(doc["endpoints"].values())),
+        lambda doc: doc["rotations"]["1"].__setitem__(0, 1.5),
+        lambda doc: doc["rotations"]["1"].__setitem__(0, True),
+        lambda doc: doc["endpoints"]["1"].__setitem__(0, "3"),
+        lambda doc: doc["rotations"].update({"1": "123"}),
+    ],
+    ids=["rotations_list", "endpoints_list", "float_entry", "bool_entry", "string_entry",
+         "string_row"],
+)
+def test_malformed_rotation_document_raises_value_error(mutate):
+    doc = json.loads(fixture_path("wheel4.json").read_text())
+    rotation_from_document(doc)
+    mutate(doc)
+    with pytest.raises(ValueError, match="malformed rotation document") as caught:
+        rotation_from_document(doc)
+    assert type(caught.value) is ValueError
 
 
 def test_colouring_document_keys_are_strings():
