@@ -16,7 +16,7 @@ import os
 import sys
 
 from .errors import CapExceeded, MapError, NoCompatibleInsertion
-from .growth import grow
+from .growth import grow, growth_step
 from .incidence import check_cover, validate_map
 from .labelling import labelling_from_cover
 from .oracles import (
@@ -29,8 +29,8 @@ from .serialize import (
     cycles_from_json,
     load_map,
     map_to_document,
-    step_to_document,
     to_dot,
+    trace_documents,
     write_trace,
 )
 
@@ -103,7 +103,9 @@ def cmd_validate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     m, cycles = _load_valid(args, seeded=True)
-    step = grow(m, cycles, iterations=0, rng_seed=0)[0]
+    if args.out:
+        _write(args.out)  # fail on an unwritable path before the closure runs
+    step = growth_step(m, check_cover(m, cycles))
     if not step.hamiltonian:
         print("warning: no Hamiltonian cycle among the covers")
     print(
@@ -111,7 +113,7 @@ def cmd_enumerate(args) -> int:
         f"{len(step.labellings)} labellings"
     )
     if args.out:
-        doc = step_to_document(0, step)
+        doc = trace_documents([step])[0]
         doc = {key: doc[key] for key in ("covers", "labellings", "hamiltonian")}
         _write(args.out, canonical_json(doc) + "\n")
     return 0
@@ -121,6 +123,8 @@ def cmd_grow(args) -> int:
     m, cycles = _load_valid(args, seeded=True)
     if args.iterations < 0:
         raise _CliFailure(2, "--iterations must be >= 0")
+    if args.trace:
+        _write(args.trace)  # fail on an unwritable path before growth runs
     try:
         steps = grow(m, cycles, iterations=args.iterations, rng_seed=args.seed)
     except NoCompatibleInsertion as exc:

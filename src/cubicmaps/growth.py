@@ -34,7 +34,7 @@ from .incidence import (
     face_boundary_walk,
 )
 from .labelling import Labelling, closure_labellings, hamiltonian_covers
-from .serialize import map_to_document
+from .serialize import map_to_document, positional_ids
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class InsertionEvent:
 class GrowthStep:
     """One entry of a growth trace: the map after ``event`` (None for the
     seed map), its growth cover and the closure of that cover with the
-    labellings and Hamiltonian cycles it induces."""
+    labellings and Hamiltonian cycles it induces, built by ``growth_step``."""
 
     map: CubicMap
     cover: Cover
@@ -189,32 +189,43 @@ def face_pairs(m: CubicMap):
 def _draw_insertion(m, covers, rng, step):
     """Redraw until the drawn pair has a compatible cover.
 
-    Only when an exhaustive scan shows that *no* face/edge pair of the
-    current map admits one does the run halt: that map is a candidate
-    counterexample to the shared-cycle conjecture and is serialized as a
-    witness.
+    After the first failed draw, one exhaustive scan checks every face/edge
+    pair of the current map.  Only when *no* pair admits one does the run
+    halt: that map is a candidate shared-cycle counterexample and becomes
+    a witness, its failing pair in its map document's positional ids.
     """
-    scanned = False
-    while True:
+    for attempt in count():
         face, e1, e2 = choose_insertion(m, rng)
         host = compatible_cover(covers, e1, e2)
         if host is not None:
             return face, e1, e2, host
-        if not scanned:
-            scanned = True
-            if not any(
-                compatible_cover(covers, a, b) is not None
-                for _, a, b in face_pairs(m)
-            ):
-                first_face, a, b = next(iter(face_pairs(m)))
-                raise NoCompatibleInsertion(
-                    "no face/edge pair admits a compatible cover",
-                    witness={
-                        "step": step,
-                        "map": map_to_document(m),
-                        "failing_pair": {"face": first_face, "edges": [a, b]},
-                    },
-                )
+        if attempt == 0 and all(
+            compatible_cover(covers, a, b) is None for _, a, b in face_pairs(m)
+        ):
+            first_face, a, b = next(iter(face_pairs(m)))
+            _, emap, fmap = positional_ids(m)
+            raise NoCompatibleInsertion(
+                "no face/edge pair admits a compatible cover",
+                witness={
+                    "step": step,
+                    "map": map_to_document(m),
+                    "failing_pair": {"face": fmap[first_face], "edges": [emap[a], emap[b]]},
+                },
+            )
+
+
+def growth_step(m: CubicMap, cover: Cover, event: InsertionEvent | None = None) -> GrowthStep:
+    """The per-map work of growth: the closure of ``cover`` on ``m``, its
+    labellings and its Hamiltonian subset.  A map without a Hamiltonian
+    cover is recorded with an empty subset rather than aborting, so the
+    rest of a run stays visible to the conjecture sweeps."""
+    covers = cover_closure(m, cover)
+    labellings = closure_labellings(m, covers)
+    try:
+        hams = hamiltonian_covers(m, covers)
+    except NoHamiltonian:
+        hams = ()
+    return GrowthStep(m, cover, covers, labellings, hams, event)
 
 
 def grow(
@@ -225,30 +236,17 @@ def grow(
 ) -> list[GrowthStep]:
     """Run ``iterations`` random insertions starting from a covered map.
 
-    Every step records the current map, its cover closure, the distinct
-    labellings, the Hamiltonian subset and the insertion that produced
-    the map (None for step 0).  Fully reproducible from ``rng_seed``.
+    Step 0 is ``growth_step`` on the checked seed cover.  Each later step
+    draws a pair with a compatible host cover, inserts the edge, rewrites
+    the host onto the new map and runs ``growth_step`` on it with the
+    insertion event.  Fully reproducible from ``rng_seed``.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     rng = random.Random(rng_seed)
-    cover = check_cover(m, seed_cover)
-    event: InsertionEvent | None = None
-    steps: list[GrowthStep] = []
-    for step in range(iterations + 1):
-        covers = cover_closure(m, cover)
-        labellings = closure_labellings(m, covers)
-        try:
-            hams = hamiltonian_covers(m, covers)
-        except NoHamiltonian:
-            # A step with no Hamiltonian cover is a noteworthy event, but
-            # aborting would hide the rest of the run from the conjecture
-            # sweeps; it is recorded as an empty subset instead.
-            hams = ()
-        steps.append(GrowthStep(m, cover, covers, labellings, hams, event))
-        if step == iterations:
-            break
-        face, e1, e2, host = _draw_insertion(m, covers, rng, step)
+    steps = [growth_step(m, check_cover(m, seed_cover))]
+    for i in range(iterations):
+        face, e1, e2, host = _draw_insertion(m, steps[-1].covers, rng, i)
         m, event = insert_edge(m, face, e1, e2)
-        cover = rewrite_cover(host, event, m)
+        steps.append(growth_step(m, rewrite_cover(host, event, m), event))
     return steps

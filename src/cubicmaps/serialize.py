@@ -87,58 +87,49 @@ def map_fingerprint(m: CubicMap) -> str:
 _CLASS_KEYS = ("class_1", "class_2", "class_3")
 
 
-def step_to_document(index: int, step, prev_emap=None, prev_fmap=None) -> Document:
-    """One trace record.
+def trace_documents(steps) -> list[Document]:
+    """One trace record per step.
 
-    Edge ids in the map/covers/labellings are the current map's positional
-    ids; the insertion's ``face``/``targets`` (and split keys) use the
+    Edge ids in the map/covers/labellings are the step's positional ids;
+    the insertion's ``face``/``targets`` (and split keys) use the
     *previous* record's ids, while its minted ids use the current ones.
 
     Each distinct edge tuple (a cycle or a labelling class) is translated
-    once, and every slot holding it shares that immutable tuple, which
-    encodes like a list.  Labellings must be canonical, as from
-    ``closure_labellings``: positional ids keep the id order, so the
+    once per record, and every slot holding it shares that immutable
+    tuple, which encodes like a list.  Labellings must be canonical, as
+    from ``closure_labellings``: positional ids keep the id order, so the
     translated classes stay sorted.
     """
-    return _record(index, step, positional_ids(step.map), prev_emap, prev_fmap)
-
-
-def _record(index: int, step, ids, prev_emap, prev_fmap) -> Document:
-    vmap, emap, fmap = ids
-    distinct = set(chain(step.cover, *step.covers, *step.labellings, *step.hamiltonian))
-    positional = {edges: tuple([emap[e] for e in edges]) for edges in distinct}.__getitem__
-    doc: Document = {
-        "step": index,
-        "map": map_to_document(step.map),
-        "covers": [list(map(positional, cover)) for cover in step.covers],
-        "labellings": [dict(zip(_CLASS_KEYS, map(positional, lab))) for lab in step.labellings],
-        "hamiltonian": [list(map(positional, cover)) for cover in step.hamiltonian],
-        "insertion": None,
-    }
-    doc["map"]["cycles"] = list(map(positional, step.cover))
-    ev = step.event
-    if ev is not None:
-        doc["insertion"] = {
-            "face": prev_fmap[ev.face],
-            "targets": [prev_emap[e] for e in ev.targets],
-            "new_vertices": [vmap[v] for v in ev.new_vertices],
-            "new_edge": emap[ev.new_edge],
-            "split_edges": {
-                str(prev_emap[old]): [emap[e] for e in segs]
-                for old, segs in sorted(ev.split_edges.items())
-            },
-            "new_face": fmap[ev.new_face],
-        }
-    return doc
-
-
-def trace_documents(steps) -> list[Document]:
     docs = []
     prev_emap = prev_fmap = None
-    for i, step in enumerate(steps):
-        ids = positional_ids(step.map)
-        docs.append(_record(i, step, ids, prev_emap, prev_fmap))
-        _, prev_emap, prev_fmap = ids
+    for index, step in enumerate(steps):
+        vmap, emap, fmap = positional_ids(step.map)
+        distinct = set(chain(step.cover, *step.covers, *step.labellings, *step.hamiltonian))
+        positional = {edges: tuple([emap[e] for e in edges]) for edges in distinct}.__getitem__
+        doc: Document = {
+            "step": index,
+            "map": map_to_document(step.map),
+            "covers": [list(map(positional, cover)) for cover in step.covers],
+            "labellings": [dict(zip(_CLASS_KEYS, map(positional, lab))) for lab in step.labellings],
+            "hamiltonian": [list(map(positional, cover)) for cover in step.hamiltonian],
+            "insertion": None,
+        }
+        doc["map"]["cycles"] = list(map(positional, step.cover))
+        ev = step.event
+        if ev is not None:
+            doc["insertion"] = {
+                "face": prev_fmap[ev.face],
+                "targets": [prev_emap[e] for e in ev.targets],
+                "new_vertices": [vmap[v] for v in ev.new_vertices],
+                "new_edge": emap[ev.new_edge],
+                "split_edges": {
+                    str(prev_emap[old]): [emap[e] for e in segs]
+                    for old, segs in sorted(ev.split_edges.items())
+                },
+                "new_face": fmap[ev.new_face],
+            }
+        docs.append(doc)
+        prev_emap, prev_fmap = emap, fmap
     return docs
 
 

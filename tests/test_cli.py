@@ -1,9 +1,12 @@
 import hashlib
 import json
 import shutil
+from itertools import count
 
 import pytest
 
+import cubicmaps.cli as cli
+import cubicmaps.growth as growth
 from cubicmaps.cli import main
 from cubicmaps.fixtures import fixture_path, theta_map
 from cubicmaps.incidence import validate_map
@@ -106,6 +109,26 @@ def test_grow_traces_are_byte_identical(theta_file, tmp_path):
              "--trace", str(path)]
         ) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_grow_witness_uses_positional_ids(cube_file, tmp_path, monkeypatch, capsys):
+    # After three real draws no cover is compatible, so step 3's scan fails
+    # on a map whose raw ids have gaps from the retired target edges.
+    real, calls = growth.compatible_cover, count(1)
+
+    def three_then_none(covers, e1, e2):
+        return real(covers, e1, e2) if next(calls) <= 3 else None
+
+    monkeypatch.setattr(growth, "compatible_cover", three_then_none)
+    witness_path = tmp_path / "witness.json"
+    rc = main(["grow", "--input", cube_file, "--iterations", "20", "--seed", "42",
+               "--out", str(witness_path)])
+    assert rc == 3
+    witness = json.loads(witness_path.read_text())
+    assert witness["step"] == 3
+    pair = witness["failing_pair"]
+    row = witness["map"]["face_edge"][pair["face"] - 1]
+    assert all(row[e - 1] for e in pair["edges"])
 
 
 def test_check_holds_on_cube(cube_file, capsys):
@@ -222,7 +245,13 @@ def test_export_json_round_trip(cube_file, tmp_path):
     ],
     ids=["grow_trace", "enumerate_out", "export_out", "check_witness"],
 )
-def test_unwritable_output_exits_2(command, target, tmp_path, capsys):
+def test_unwritable_output_exits_2(command, target, tmp_path, monkeypatch, capsys):
+    # grow and enumerate check their output path before doing any work
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "grow", never)
+    monkeypatch.setattr(cli, "growth_step", never, raising=False)
     out = tmp_path / "missing" / "out.json" if target == "missing_dir" else tmp_path
     paths = {"cube": fixture_path("cube.json"), "out": out,
              "two_classes": fixture_path("two_kempe_classes.json")}
