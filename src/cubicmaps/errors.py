@@ -61,7 +61,8 @@ class CapExceeded(MapError):
 
 
 class InconsistentLabelling(MapError):
-    """Colour propagation found a dual edge with inconsistent sign flips."""
+    """A labelling is not three classes that partition the edges, or colour
+    propagation found a dual edge with inconsistent sign flips."""
 
 
 class InvalidRotation(MapError):

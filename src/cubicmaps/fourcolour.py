@@ -5,7 +5,10 @@ Colours are sign pairs.  Crossing an edge flips signs according to the
 edge's class: first index, second index, or both.  The three flips plus
 identity form the Klein four-group (xor on two bits), which is exactly
 why propagation around any closed dual walk is consistent when the
-labelling is proper.
+labelling is proper.  The dual's edges and its breadth-first spanning
+tree from the outer face depend only on the map, so ``CubicMap`` caches
+them (``dual_edges``, ``dual_tree``); each colouring is one pass along
+the tree and one check of every dual edge.
 """
 
 from __future__ import annotations
@@ -14,55 +17,40 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InconsistentLabelling, InvalidRotation
-from .incidence import CubicMap
+from .incidence import OUTER, CubicMap, FaceKey
 from .labelling import canonical_labelling
 
-OUTER = "outer"
-
 COLOURS = ("++", "+-", "-+", "--")
-_COLOUR_BITS = {c: i for i, c in enumerate(COLOURS)}
 # canonical class 1 flips the first index, class 2 the second, class 3 both
 _CLASS_FLIPS = (0b10, 0b01, 0b11)
 
-FaceKey = int | str
 FaceColouring = dict[FaceKey, str]
 
 
 def dual_adjacency(m: CubicMap) -> dict[int, tuple[FaceKey, FaceKey]]:
     """Edge id -> the two faces it separates (external edges pair their
-    internal face with the outer face)."""
-    return {
-        e: (faces[0], faces[1] if len(faces) == 2 else OUTER)
-        for e, faces in m.edge_internal_faces.items()
-    }
+    internal face with the outer face); a copy of ``m.dual_edges``."""
+    return dict(m.dual_edges)
 
 
 def face_colouring_from_labelling(m: CubicMap, lab) -> FaceColouring:
     """Propagate sign-pair colours over the dual from the outer face.
 
     The outer face takes (+,+); each crossed edge applies its class flip.
-    After the spanning propagation every remaining dual edge is checked,
-    so an improper labelling cannot slip through.
+    Propagation follows the map's cached dual spanning tree
+    (``m.dual_tree``), which also fixes the key order of the result.
+    Afterwards every dual edge is checked, so an improper labelling cannot
+    slip through.  Raises InconsistentLabelling unless the labelling has
+    exactly three classes that partition the edges.
     """
     lab = canonical_labelling(lab)
-    flip_of = {e: _CLASS_FLIPS[i] for i, cls in enumerate(lab) for e in cls}
-    if set(flip_of) != m.all_edges:
+    flip_of = {e: flip for flip, cls in zip(_CLASS_FLIPS, lab) for e in cls}
+    if len(lab) != 3 or sum(map(len, lab)) != m.n_edges or flip_of.keys() != m.all_edges:
         raise InconsistentLabelling("labelling classes do not partition the edges")
-    dual = dual_adjacency(m)
-    neighbours: dict[FaceKey, list[tuple[FaceKey, int]]] = {f: [] for f in (OUTER, *m.face_ids)}
-    for e, (a, b) in sorted(dual.items()):
-        neighbours[a].append((b, flip_of[e]))
-        neighbours[b].append((a, flip_of[e]))
-
     bits: dict[FaceKey, int] = {OUTER: 0}
-    queue: deque[FaceKey] = deque([OUTER])
-    while queue:
-        f = queue.popleft()
-        for g, flip in neighbours[f]:
-            if g not in bits:
-                bits[g] = bits[f] ^ flip
-                queue.append(g)
-    for e, (a, b) in dual.items():
+    for face, parent, e in m.dual_tree:
+        bits[face] = bits[parent] ^ flip_of[e]
+    for e, (a, b) in m.dual_edges.items():
         if bits[a] ^ flip_of[e] != bits[b]:
             raise InconsistentLabelling(
                 f"edge {e}: colour flip inconsistent between faces {a} and {b}"
@@ -76,7 +64,7 @@ def validate_face_colouring(m: CubicMap, fc: FaceColouring) -> bool:
     expected = set(m.face_ids) | {OUTER}
     if set(fc) != expected or not all(c in COLOURS for c in fc.values()):
         return False
-    return all(fc[a] != fc[b] for a, b in dual_adjacency(m).values())
+    return all(fc[a] != fc[b] for a, b in m.dual_edges.values())
 
 
 # ---------------------------------------------------------------------

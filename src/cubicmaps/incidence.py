@@ -12,6 +12,7 @@ never endpoint based, so parallel edges never collide.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -21,6 +22,10 @@ from .errors import InvalidCover, MalformedFace, NotACycle, NotTwoRegular
 Cycle = tuple[int, ...]
 Cover = tuple[Cycle, ...]
 Members = dict[int, tuple[int, ...]]
+FaceKey = int | str
+
+# key of the outer face, which has no face-edge row
+OUTER = "outer"
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,38 @@ class CubicMap:
     def external_edges(self) -> frozenset[int]:
         """Edges on the outer boundary (on a single internal face)."""
         return frozenset(e for e, fs in self.edge_internal_faces.items() if len(fs) == 1)
+
+    @cached_property
+    def dual_edges(self) -> dict[int, tuple[FaceKey, FaceKey]]:
+        """Edge id -> the two faces it separates (an external edge pairs its
+        internal face with ``OUTER``)."""
+        return {
+            e: (faces[0], faces[1] if len(faces) == 2 else OUTER)
+            for e, faces in self.edge_internal_faces.items()
+        }
+
+    @cached_property
+    def dual_tree(self) -> tuple[tuple[FaceKey, FaceKey, int], ...]:
+        """Breadth-first spanning tree of the dual from ``OUTER``, as
+        (face, parent face, crossed edge) in visiting order; each face
+        scans its dual edges in edge id order."""
+        neighbours: dict[FaceKey, list[tuple[FaceKey, int]]] = {
+            f: [] for f in (OUTER, *self.face_ids)
+        }
+        for e, (a, b) in sorted(self.dual_edges.items()):
+            neighbours[a].append((b, e))
+            neighbours[b].append((a, e))
+        seen = {OUTER}
+        tree = []
+        queue: deque[FaceKey] = deque([OUTER])
+        while queue:
+            f = queue.popleft()
+            for g, e in neighbours[f]:
+                if g not in seen:
+                    seen.add(g)
+                    tree.append((g, f, e))
+                    queue.append(g)
+        return tuple(tree)
 
     @cached_property
     def all_edges(self) -> frozenset[int]:

@@ -7,6 +7,14 @@ of a perfect matching), and proper labellings by edge-order backtracking.
 They exist to *check* the fast path, so they share none of its search
 logic.
 
+Work that depends only on the map is done once per map.  The cover
+enumerator checks once that the map is cubic (three distinct edges at
+every vertex, two distinct ends on every edge), so each matching's
+complement is a spanning 2-factor that is walked without a degree check,
+and only the all-even walks are canonicalised.  The shared-cycle check
+gives every (cover, cycle) slot one bit and every edge the mask of the
+slots that hold it, so a face pair shares a cycle iff its masks meet.
+
 Both searches test conflicts with integer bitmasks.  The matching search
 holds the covered vertices as a bitmask over the positions of
 ``vertex_ids`` and always matches the lowest uncovered vertex.  The
@@ -23,9 +31,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .closure import cover_closure
-from .errors import CapExceeded
-from .growth import compatible_cover, face_pairs
-from .incidence import Cover, CubicMap, decompose_two_factor
+from .errors import CapExceeded, NotTwoRegular
+from .growth import face_pairs
+from .incidence import Cover, CubicMap, canonical_cover, edge_mask, walk_cycles
 from .labelling import Labelling, canonical_labelling
 from .serialize import map_fingerprint
 
@@ -72,17 +80,33 @@ def all_perfect_matchings(m: CubicMap, cap: int | None = None) -> tuple[frozense
     return tuple(sorted(out, key=sorted))
 
 
+def _check_cubic(m: CubicMap) -> None:
+    """Raise NotTwoRegular unless every vertex meets three distinct edges
+    and every edge has two distinct ends, so that the complement of each
+    perfect matching is a spanning 2-factor."""
+    for v, es in m.vertex_edges.items():
+        if len(set(es)) != 3 or len(es) != 3:
+            raise NotTwoRegular(f"vertex {v} lists edges {list(es)} (expected 3 distinct)")
+    for e, vs in m._edge_ends.items():
+        if len(set(vs)) != 2 or len(vs) != 2:
+            raise NotTwoRegular(f"edge {e} has ends {list(vs)} (expected 2 distinct)")
+
+
 def all_even_cycle_covers(m: CubicMap, cap: int | None = None) -> tuple[Cover, ...]:
     """Every spanning set of vertex-disjoint even cycles, canonical-sorted.
 
-    Complement each perfect matching to get a 2-factor, decompose it and
-    keep the all-even ones.
+    After the cap check, one degree check of the map (``_check_cubic``)
+    makes the complement of every perfect matching a spanning 2-factor.
+    Each complement is walked unchecked and canonicalised only if all its
+    cycles are even.
     """
+    _check_cap(m, cap)
+    _check_cubic(m)
     covers = []
     for matching in all_perfect_matchings(m, cap):
-        cover = decompose_two_factor(m, m.all_edges - matching)
-        if all(len(c) % 2 == 0 for c in cover):
-            covers.append(cover)
+        walks = walk_cycles(m, m._all_mask ^ edge_mask(matching))
+        if all(len(w) % 2 == 0 for w in walks):
+            covers.append(canonical_cover(walks))
     return tuple(sorted(covers))
 
 
@@ -202,13 +226,22 @@ def check_shared_cycle(
     of some cover.
 
     ``covers`` defaults to the oracle enumeration; passing a truncated set
-    exercises the refutation path.
+    exercises the refutation path.  Each (cover, cycle) slot is one bit,
+    and each edge gets the mask of the slots that hold it, so a pair
+    shares a cycle iff its two masks meet.  The witness is the first
+    failing pair in ``face_pairs`` order.
     """
     if covers is None:
         covers = all_even_cycle_covers(m, cap)
-    covers = tuple(covers)
+    slots: dict[int, int] = {}
+    bit = 1
+    for cover in covers:
+        for cycle in cover:
+            for e in cycle:
+                slots[e] = slots.get(e, 0) | bit
+            bit <<= 1
     for face, a, b in face_pairs(m):
-        if compatible_cover(covers, a, b) is None:
+        if not slots.get(a, 0) & slots.get(b, 0):
             witness = {"face": face, "edges": [a, b]}
             return ConjectureReport(2, map_fingerprint(m), "refuted", witness)
     return ConjectureReport(2, map_fingerprint(m), "holds")

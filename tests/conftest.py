@@ -1,9 +1,18 @@
+import json
 import random
 
 import pytest
 
-from cubicmaps import check_cover, insert_edge
-from cubicmaps.fixtures import cube_map, cube_seed, theta_map, theta_seed
+from cubicmaps import RotationMap, blow_up, check_cover, grow, insert_edge
+from cubicmaps.fixtures import (
+    cube_map,
+    cube_seed,
+    fixture_path,
+    theta_map,
+    theta_seed,
+    wheel_rotation,
+)
+from cubicmaps.serialize import map_from_document, rotation_from_document
 
 
 @pytest.fixture
@@ -42,3 +51,24 @@ def random_insertion_walk(m, steps, rng: random.Random):
         m, event = insert_edge(m, face, e1, e2)
         events.append(event)
     return m, events
+
+
+def reference_maps() -> dict:
+    """Name -> map for checking the oracles' fast paths against reference
+    implementations: every bundled map document, the blow-up of every
+    bundled rotation document and of the wheels 4-6, and the twelve maps of
+    cube growth seed 1 (12 to 45 edges, the oracle cap).  Theta,
+    ``non_hamiltonian_16`` and the grown maps after an equal-target
+    insertion have parallel edges."""
+    maps = {}
+    for path in sorted(fixture_path("cube.json").parent.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if isinstance(doc, dict) and "rotations" in doc:
+            maps[path.stem] = blow_up(RotationMap(*rotation_from_document(doc)))[0]
+        elif isinstance(doc, dict):
+            maps[path.stem] = map_from_document(doc)[0]
+    for n in (4, 5, 6):
+        maps[f"wheel{n}_blow_up"] = blow_up(wheel_rotation(n))[0]
+    for i, step in enumerate(grow(cube_map(), cube_seed(), 11, 1)):
+        maps[f"cube_seed1_step{i}"] = step.map
+    return maps

@@ -6,8 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import cubicmaps.fourcolour as fourcolour
 import cubicmaps.growth as growth
-from cubicmaps.fixtures import cube_map, cube_seed
+import cubicmaps.oracles as oracles
+from cubicmaps.fixtures import cube_map, cube_seed, theta_map, theta_seed
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -42,3 +44,34 @@ def test_grow_call_counts():
     for name in ("growth.insert_edge", "growth.rewrite_cover", "growth.compatible_cover"):
         assert calls[name] == 20, name
     assert counters["growth.draws"] == counters["growth.insertions"] == 20
+
+
+def test_corpus_call_counts():
+    # The corpus path's contract for one theta run: one matching enumeration
+    # per even-cover enumeration, and no 2-factor decomposition or
+    # compatible-cover scan beyond growth's own, one per insertion.
+    # Library calls go through their modules, whose attributes the tracer
+    # patches.
+    insertions = 14
+    with _tracing().Tracer() as tracer:
+        steps = growth.grow(theta_map(), theta_seed(), insertions, 11)
+        labellings = 0
+        for st in steps:
+            covers = oracles.all_even_cycle_covers(st.map)
+            oracles.compare_cover_sets(st.map, st.covers, covers)
+            oracles.check_shared_cycle(st.map, covers=covers)
+            for lab in oracles.all_proper_labellings(st.map):
+                labellings += 1
+                fourcolour.validate_face_colouring(
+                    st.map, fourcolour.face_colouring_from_labelling(st.map, lab))
+    per_fn, counters = tracer.take()
+    calls = {name: rec["calls"] for name, rec in per_fn.items()}
+    maps = insertions + 1
+    assert calls["oracles.all_even_cycle_covers"] == maps
+    assert calls["oracles.all_perfect_matchings"] == calls["oracles.all_even_cycle_covers"]
+    assert calls["incidence.decompose_two_factor"] == insertions
+    assert calls["growth.compatible_cover"] == insertions
+    assert counters["growth.insertions"] == insertions
+    for name in ("fourcolour.face_colouring_from_labelling",
+                 "fourcolour.validate_face_colouring"):
+        assert calls[name] == labellings, name

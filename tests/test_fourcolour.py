@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import deque
 
 import pytest
 
@@ -27,7 +28,12 @@ from cubicmaps.fixtures import (
     wheel_rotation,
 )
 from cubicmaps.fourcolour import _CLASS_FLIPS, BlowUpMapping
+from cubicmaps.labelling import canonical_labelling, validate_labelling
 from cubicmaps.serialize import canonical_json, map_to_document, rotation_from_document
+
+from conftest import reference_maps
+
+REFERENCE_MAPS = reference_maps()
 
 
 def test_dual_adjacency_cube(cube):
@@ -77,6 +83,62 @@ def test_validate_rejects_bad_colourings(theta):
 def test_improper_labelling_is_caught(theta):
     with pytest.raises(InconsistentLabelling):
         face_colouring_from_labelling(theta, ((1, 2), (3,), ()))
+
+
+def test_labelling_that_is_not_a_partition_is_rejected(cube):
+    lab = all_proper_labellings(cube)[0]
+    doubled = (lab[0] + (6,), lab[1], lab[2])  # edge 6 is also in lab[2]
+    assert 6 in lab[2] and not validate_labelling(cube, doubled)
+    with pytest.raises(InconsistentLabelling, match="partition"):
+        face_colouring_from_labelling(cube, doubled)
+
+
+@pytest.mark.parametrize("split", ["empty_fourth", "third_split_in_two"])
+def test_fourth_class_is_rejected(cube, split):
+    a, b, c = all_proper_labellings(cube)[0]
+    four = (a, b, c, ()) if split == "empty_fourth" else (a, b, c[:2], c[2:])
+    with pytest.raises(InconsistentLabelling, match="partition"):
+        face_colouring_from_labelling(cube, four)
+
+
+def _per_call_colouring(m, lab):
+    """The colouring by a fresh breadth-first propagation over the dual,
+    built from the face rows on every call."""
+    flip_of = {e: _CLASS_FLIPS[i] for i, cls in enumerate(canonical_labelling(lab)) for e in cls}
+    dual = {
+        e: (faces[0], faces[1] if len(faces) == 2 else OUTER)
+        for e, faces in m.edge_internal_faces.items()
+    }
+    neighbours = {f: [] for f in (OUTER, *m.face_ids)}
+    for e, (a, b) in sorted(dual.items()):
+        neighbours[a].append((b, flip_of[e]))
+        neighbours[b].append((a, flip_of[e]))
+    bits = {OUTER: 0}
+    queue = deque([OUTER])
+    while queue:
+        f = queue.popleft()
+        for g, flip in neighbours[f]:
+            if g not in bits:
+                bits[g] = bits[f] ^ flip
+                queue.append(g)
+    return {f: COLOURS[v] for f, v in bits.items()}
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_cached_dual_tree_matches_per_call_propagation(name):
+    m = REFERENCE_MAPS[name]
+    labellings = all_proper_labellings(m)
+    assert labellings
+    for lab in labellings:
+        fc = face_colouring_from_labelling(m, lab)
+        assert list(fc.items()) == list(_per_call_colouring(m, lab).items())
+        assert validate_face_colouring(m, fc)
+    # with the dual cached, moving one edge to another class still fails
+    a, b, c = labellings[0]
+    moved = (a[1:], b + a[:1], c)
+    assert not validate_labelling(m, moved)
+    with pytest.raises(InconsistentLabelling, match="inconsistent"):
+        face_colouring_from_labelling(m, moved)
 
 
 def test_flip_algebra_is_klein_four_group(cube):

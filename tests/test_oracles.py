@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,7 +17,9 @@ from cubicmaps import (
     CubicMap,
     check_shared_cycle,
     compare_cover_sets,
+    compatible_cover,
     cover_closure,
+    decompose_two_factor,
     hamiltonian_covers,
     validate_map,
 )
@@ -26,10 +30,13 @@ from cubicmaps.fixtures import (
     tetrahedron_seed,
     theta_map,
 )
+from cubicmaps.growth import face_pairs
 from cubicmaps.labelling import canonical_labelling
 from cubicmaps.serialize import load_map
 
-from conftest import random_insertion_walk
+from conftest import random_insertion_walk, reference_maps
+
+REFERENCE_MAPS = reference_maps()
 
 
 def test_theta_matchings(theta):
@@ -56,13 +63,65 @@ def _two_thetas() -> CubicMap:
     )
 
 
+@contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+NON_CUBIC_MAPS = {
+    # vertex 1 lists edge 1 twice and vertex 2 lists edge 3 twice, so the
+    # "matching" {1, 3} of two loops leaves edge 2 alone as its complement
+    "entry_two": lambda: CubicMap([[2, 1, 0], [0, 1, 2]], [[1, 1, 1]]),
+    "four_cycle": lambda: CubicMap.from_membership(
+        {1: (1, 4), 2: (1, 2), 3: (2, 3), 4: (3, 4)}, {1: (1, 2, 3, 4)}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_CUBIC_MAPS)
+def test_even_covers_check_the_map_is_cubic(name):
+    """On a non-cubic map the complement of a matching need not be
+    2-regular, and an unchecked walk of it may never end; the oracle
+    must raise the typed error at once."""
+    m = NON_CUBIC_MAPS[name]()
+    with _time_limit(2), pytest.raises(NotTwoRegular):
+        all_even_cycle_covers(m)
+
+
 def test_even_covers_check_the_two_factor():
-    """On a non-cubic map the complement of a matching is not 2-regular,
-    and an unchecked walk of it never ends; the oracle must raise."""
+    """Four parallel edges: the matchings exist, but every complement
+    leaves both vertices with three edges."""
     quadruple = CubicMap.from_membership({1: (1, 2, 3, 4), 2: (1, 2, 3, 4)}, {})
     assert len(all_perfect_matchings(quadruple)) == 4
-    with pytest.raises(NotTwoRegular):
+    with _time_limit(2), pytest.raises(NotTwoRegular):
         all_even_cycle_covers(quadruple)
+
+
+def _reference_even_covers(m):
+    """The checked path: decompose each matching's complement with the
+    degree check of ``decompose_two_factor``, keep the all-even ones."""
+    covers = []
+    for matching in all_perfect_matchings(m):
+        cover = decompose_two_factor(m, m.all_edges - matching)
+        if all(len(c) % 2 == 0 for c in cover):
+            covers.append(cover)
+    return tuple(sorted(covers))
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_even_covers_match_checked_decomposition(name):
+    m = REFERENCE_MAPS[name]
+    assert all_even_cycle_covers(m) == _reference_even_covers(m)
 
 
 def _brute_force_matchings(m):
@@ -244,3 +303,26 @@ def test_matching_complementation_bound():
     rng = random.Random(505)
     m, _ = random_insertion_walk(theta_map(), 6, rng)
     assert len(all_even_cycle_covers(m)) <= len(all_perfect_matchings(m))
+
+
+def _reference_shared_cycle_witness(m, covers):
+    """The first face pair in ``face_pairs`` order with no compatible cover."""
+    for face, a, b in face_pairs(m):
+        if compatible_cover(covers, a, b) is None:
+            return {"face": face, "edges": [a, b]}
+    return None
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_shared_cycle_witness_matches_compatible_cover(name):
+    # drop the covers one at a time from either end, so witnesses fall on
+    # many different pairs
+    m = REFERENCE_MAPS[name]
+    covers = all_even_cycle_covers(m)
+    truncated = [covers[:k] for k in range(len(covers) + 1)]
+    truncated += [covers[k:] for k in range(1, len(covers))]
+    for subset in truncated:
+        report = check_shared_cycle(m, covers=subset)
+        expected = _reference_shared_cycle_witness(m, subset)
+        assert report.witness == expected
+        assert report.holds == (expected is None)
