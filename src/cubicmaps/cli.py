@@ -15,14 +15,16 @@ import json
 import os
 import sys
 
+from .closure import cover_closure
 from .errors import CapExceeded, MapError, NoCompatibleInsertion
 from .growth import grow, growth_step
 from .incidence import check_cover, validate_map
 from .labelling import labelling_from_cover
 from .oracles import (
     DEFAULT_ORACLE_CAP,
-    check_closure_completeness,
+    all_even_cycle_covers,
     check_shared_cycle,
+    compare_cover_sets,
 )
 from .serialize import (
     canonical_json,
@@ -148,9 +150,9 @@ def cmd_grow(args) -> int:
 
 def cmd_check(args) -> int:
     m, cycles = _load_valid(args, seeded=True)
-    cap = _resolve_cap(args)
-    if m.n_edges > cap:
-        raise CapExceeded(f"map has {m.n_edges} edges, oracle cap is {cap}")
+    # one oracle enumeration serves both conjectures; its cap check (exit 4)
+    # comes before the cover check (exit 1) and the covers file (exit 2)
+    oracle = all_even_cycle_covers(m, _resolve_cap(args))
     cover = check_cover(m, cycles)
     injected = None
     if args.covers:
@@ -164,8 +166,8 @@ def cmd_check(args) -> int:
             raise _CliFailure(2, f"cannot read covers file: {exc}") from exc
         injected = tuple(check_cover(m, c) for c in covers)
     reports = [
-        check_closure_completeness(m, cover, cap=cap),
-        check_shared_cycle(m, cap=cap, covers=injected),
+        compare_cover_sets(m, cover_closure(m, cover), oracle),
+        check_shared_cycle(m, covers=oracle if injected is None else injected),
     ]
     for rep in reports:
         print(f"conjecture {rep.conjecture}: {rep.verdict}")

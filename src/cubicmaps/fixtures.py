@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from .fourcolour import RotationMap
-from .incidence import Cover, CubicMap
+from .incidence import Cover, CubicMap, Members
+from .serialize import load_map
 
 
 def fixture_path(name: str):
@@ -13,67 +15,49 @@ def fixture_path(name: str):
     return resources.files("cubicmaps").joinpath("data", name)
 
 
+@cache
+def _bundled(name: str) -> tuple[Members, Members, Cover]:
+    """Membership and seed cycles of a bundled map document, parsed once;
+    each ``_bundled_map`` call builds a fresh map from them."""
+    m, cycles = load_map(fixture_path(name))
+    return m.vertex_edges, m.face_edges, cycles
+
+
+def _bundled_map(name: str) -> CubicMap:
+    vertex_edges, face_edges, _ = _bundled(name)
+    return CubicMap.from_membership(vertex_edges, face_edges)
+
+
 def theta_map() -> CubicMap:
     """Two vertices joined by three parallel edges: the smallest cubic
-    planar map, and the canonical growth seed."""
-    return CubicMap.from_membership(
-        vertex_edges={1: (1, 2, 3), 2: (1, 2, 3)},
-        face_edges={1: (1, 2), 2: (2, 3)},
-    )
+    planar map, and the canonical growth seed (``theta.json``)."""
+    return _bundled_map("theta.json")
 
 
 def theta_seed() -> Cover:
-    return ((1, 2),)
+    """The cycle of ``theta.json``: edges 1 and 2."""
+    return _bundled("theta.json")[2]
 
 
 def cube_map() -> CubicMap:
     """The cube drawn as an outer square (edges 1,2,3,12), an inner square
-    (5,7,8,10) and four connecting edges; 5 internal quad faces."""
-    return CubicMap.from_membership(
-        vertex_edges={
-            1: (1, 11, 12),
-            2: (1, 2, 9),
-            3: (2, 3, 6),
-            4: (3, 4, 12),
-            5: (8, 10, 11),
-            6: (7, 9, 10),
-            7: (5, 6, 7),
-            8: (4, 5, 8),
-        },
-        face_edges={
-            1: (5, 7, 8, 10),
-            2: (1, 9, 10, 11),
-            3: (2, 6, 7, 9),
-            4: (3, 4, 5, 6),
-            5: (4, 8, 11, 12),
-        },
-    )
+    (5,7,8,10) and four connecting edges; 5 internal quad faces (``cube.json``)."""
+    return _bundled_map("cube.json")
 
 
 def cube_seed() -> Cover:
-    """Two opposite quad faces covering all eight vertices."""
-    return ((1, 9, 10, 11), (3, 4, 5, 6))
+    """Two opposite quad faces covering all eight vertices (``cube.json``)."""
+    return _bundled("cube.json")[2]
 
 
 def tetrahedron_map() -> CubicMap:
-    """K4 drawn with an outer triangle (edges 1,2,3) around a hub."""
-    return CubicMap.from_membership(
-        vertex_edges={
-            1: (1, 3, 4),
-            2: (1, 2, 5),
-            3: (2, 3, 6),
-            4: (4, 5, 6),
-        },
-        face_edges={
-            1: (1, 4, 5),
-            2: (2, 5, 6),
-            3: (3, 4, 6),
-        },
-    )
+    """K4 drawn with an outer triangle (edges 1,2,3) around a hub (``tetrahedron.json``)."""
+    return _bundled_map("tetrahedron.json")
 
 
 def tetrahedron_seed() -> Cover:
-    return ((2, 3, 4, 5),)
+    """The Hamiltonian cycle of ``tetrahedron.json``: edges 2, 3, 4, 5."""
+    return _bundled("tetrahedron.json")[2]
 
 
 def tetrahedron_labelling():

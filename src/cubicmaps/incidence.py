@@ -125,10 +125,11 @@ class CubicMap:
 
     @cached_property
     def edge_vertices(self) -> dict[int, tuple[int, int]]:
-        """Edge id -> its two endpoint vertex ids (sorted)."""
+        """Edge id -> its two endpoint vertex ids (sorted).  The one edge-ends
+        check: NotTwoRegular unless every edge has two distinct ends."""
         for e, vs in self._edge_ends.items():
-            if len(vs) != 2:
-                raise ValueError(f"edge {e} has {len(vs)} endpoints")
+            if len(vs) != 2 or vs[0] == vs[1]:
+                raise NotTwoRegular(f"edge {e} has ends {list(vs)} (expected 2 distinct)")
         return self._edge_ends
 
     @cached_property

@@ -73,8 +73,8 @@ def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:
 
 
 def validate_labelling(m: CubicMap, lab: Sequence[Iterable[int]]) -> bool:
-    """True iff the classes partition the edges and every vertex sees
-    three distinct classes."""
+    """True iff the classes partition the edges and every vertex meets
+    three edges of three distinct classes."""
     classes = [frozenset(c) for c in lab]
     if len(classes) != 3:
         return False
@@ -84,7 +84,7 @@ def validate_labelling(m: CubicMap, lab: Sequence[Iterable[int]]) -> bool:
     if union != m.all_edges:
         return False
     class_of = {e: i for i, c in enumerate(classes) for e in c}
-    return all(len({class_of[e] for e in es}) == len(es) for es in m.vertex_edges.values())
+    return all(len({class_of[e] for e in es}) == len(es) == 3 for es in m.vertex_edges.values())
 
 
 def dedup_labellings(labs: Iterable[Sequence[Iterable[int]]]) -> tuple[Labelling, ...]:

@@ -7,13 +7,17 @@ of a perfect matching), and proper labellings by edge-order backtracking.
 They exist to *check* the fast path, so they share none of its search
 logic.
 
-Work that depends only on the map is done once per map.  The cover
-enumerator checks once that the map is cubic (three distinct edges at
-every vertex, two distinct ends on every edge), so each matching's
-complement is a spanning 2-factor that is walked without a degree check,
-and only the all-even walks are canonicalised.  The shared-cycle check
-gives every (cover, cycle) slot one bit and every edge the mask of the
-slots that hold it, so a face pair shares a cycle iff its masks meet.
+Input contract: every edge has two distinct ends (``CubicMap.edge_vertices``
+raises NotTwoRegular otherwise), so matchings are found on any loop-free
+multigraph.  The cover and the labelling enumerators also check that
+every vertex meets three distinct edges, else NotTwoRegular.
+
+Work that depends only on the map is done once per map.  After its one
+degree check, the cover enumerator walks each matching's complement, a
+spanning 2-factor, unchecked and canonicalises only the all-even walks.
+The shared-cycle check gives every (cover, cycle) slot one bit and every
+edge the mask of the slots that hold it, so a face pair shares a cycle
+iff its masks meet.
 
 Both searches test conflicts with integer bitmasks.  The matching search
 holds the covered vertices as a bitmask over the positions of
@@ -81,15 +85,12 @@ def all_perfect_matchings(m: CubicMap, cap: int | None = None) -> tuple[frozense
 
 
 def _check_cubic(m: CubicMap) -> None:
-    """Raise NotTwoRegular unless every vertex meets three distinct edges
-    and every edge has two distinct ends, so that the complement of each
-    perfect matching is a spanning 2-factor."""
+    """Raise NotTwoRegular unless every vertex meets three distinct edges.
+    With ``edge_vertices``' check of the edge ends, the complement of each
+    perfect matching is then a spanning 2-factor."""
     for v, es in m.vertex_edges.items():
         if len(set(es)) != 3 or len(es) != 3:
             raise NotTwoRegular(f"vertex {v} lists edges {list(es)} (expected 3 distinct)")
-    for e, vs in m._edge_ends.items():
-        if len(set(vs)) != 2 or len(vs) != 2:
-            raise NotTwoRegular(f"edge {e} has ends {list(vs)} (expected 2 distinct)")
 
 
 def all_even_cycle_covers(m: CubicMap, cap: int | None = None) -> tuple[Cover, ...]:
@@ -142,6 +143,7 @@ def all_proper_labellings(m: CubicMap, cap: int | None = None) -> tuple[Labellin
     before canonicalization.
     """
     _check_cap(m, cap)
+    _check_cubic(m)
     order = _breadth_first_edges(m)
     pos = {e: i for i, e in enumerate(order)}
     neighbours = [{pos[f] for v in m.edge_vertices[e] for f in m.vertex_edges[v]} for e in order]

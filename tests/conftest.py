@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cubicmaps import RotationMap, blow_up, check_cover, grow, insert_edge
+from cubicmaps import RotationMap, blow_up, check_cover, choose_insertion, grow, insert_edge
 from cubicmaps.fixtures import (
     cube_map,
     cube_seed,
@@ -43,12 +43,7 @@ def random_insertion_walk(m, steps, rng: random.Random):
     """
     events = []
     for _ in range(steps):
-        faces = m.face_ids
-        face = faces[rng.randrange(len(faces))]
-        edges = sorted(m.face_edge_sets[face])
-        e1 = edges[rng.randrange(len(edges))]
-        e2 = edges[rng.randrange(len(edges))]
-        m, event = insert_edge(m, face, e1, e2)
+        m, event = insert_edge(m, *choose_insertion(m, rng))
         events.append(event)
     return m, events
 

@@ -45,6 +45,7 @@ from cubicmaps import (
     all_proper_labellings,
     blow_up,
     check_shared_cycle,
+    choose_insertion,
     cover_closure,
     dedup_labellings,
     euler_check,
@@ -355,12 +356,7 @@ def test_criterion_6_structural_deltas():
     for _ in range(walks):
         m = theta_map() if rng.random() < 0.5 else cube_map()
         for _ in range(per_walk):
-            faces = m.face_ids
-            face = faces[rng.randrange(len(faces))]
-            edges = sorted(m.face_edge_sets[face])
-            e1 = edges[rng.randrange(len(edges))]
-            e2 = edges[rng.randrange(len(edges))]
-            m2, _ = insert_edge(m, face, e1, e2)
+            m2, _ = insert_edge(m, *choose_insertion(m, rng))
             assert m2.n_vertices == m.n_vertices + 2
             assert m2.n_edges == m.n_edges + 3
             assert m2.n_internal_faces == m.n_internal_faces + 1

@@ -7,6 +7,7 @@ import pytest
 
 import cubicmaps.cli as cli
 import cubicmaps.growth as growth
+import cubicmaps.oracles as oracles
 from cubicmaps.cli import main
 from cubicmaps.fixtures import fixture_path, theta_map
 from cubicmaps.incidence import validate_map
@@ -205,6 +206,21 @@ def test_check_rejects_negative_cap(theta_file, monkeypatch, capsys):
     assert main(["check", "--input", theta_file]) == 2
     assert "CCG_ORACLE_CAP" in capsys.readouterr().err
     assert main(["check", "--input", theta_file, "--cap", "0"]) == 4
+
+
+def test_check_enumerates_the_oracle_covers_once(cube_file, monkeypatch):
+    # both conjectures are checked against one enumeration of the covers
+    calls = []
+    real = oracles.all_even_cycle_covers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "all_even_cycle_covers", counted)
+    monkeypatch.setattr(cli, "all_even_cycle_covers", counted, raising=False)
+    assert main(["check", "--input", cube_file]) == 0
+    assert len(calls) == 1
 
 
 # sha256 of the printed lines and the --out document of ``enumerate`` on

@@ -1,6 +1,7 @@
 import pytest
 
 from cubicmaps import (
+    CubicMap,
     NoHamiltonian,
     all_proper_labellings,
     cover_closure,
@@ -42,6 +43,12 @@ def test_validate_labelling_rejects_bad_classes(theta, cube):
     assert not validate_labelling(theta, ((1, 2), (3,), ()))  # parallel pair shares a class
     assert not validate_labelling(theta, ((1, 2, 3), (), ()))
     assert not validate_labelling(cube, ((1, 2), (3,), (4,)))  # not a partition
+    four_cycle = CubicMap.from_membership(
+        {1: (1, 4), 2: (1, 2), 3: (2, 3), 4: (3, 4)}, {1: (1, 2, 3, 4)}
+    )
+    assert not validate_labelling(four_cycle, ((1, 3), (2, 4), ()))  # two classes per vertex
+    quadruple = CubicMap.from_membership({1: (1, 2, 3, 4), 2: (1, 2, 3, 4)}, {})
+    assert not validate_labelling(quadruple, ((1,), (2,), (3, 4)))  # four edges, three classes
 
 
 def test_dedup_labellings_quotients_roles():

@@ -85,6 +85,8 @@ NON_CUBIC_MAPS = {
     "four_cycle": lambda: CubicMap.from_membership(
         {1: (1, 4), 2: (1, 2), 3: (2, 3), 4: (3, 4)}, {1: (1, 2, 3, 4)}
     ),
+    # vertex 1 lists edge 1 twice, so edge 1 has three ends
+    "three_ends": lambda: CubicMap([[2, 1, 0], [1, 1, 1]], [[1, 1, 0], [0, 1, 1]]),
 }
 
 
@@ -105,6 +107,22 @@ def test_even_covers_check_the_two_factor():
     assert len(all_perfect_matchings(quadruple)) == 4
     with _time_limit(2), pytest.raises(NotTwoRegular):
         all_even_cycle_covers(quadruple)
+
+
+@pytest.mark.parametrize("name", NON_CUBIC_MAPS)
+def test_labellings_check_the_map_is_cubic(name):
+    """The labelling oracle checks the degrees like the cover oracle, so a
+    vertex with two edges yields no labelling with an empty class."""
+    with _time_limit(2), pytest.raises(NotTwoRegular):
+        all_proper_labellings(NON_CUBIC_MAPS[name]())
+
+
+@pytest.mark.parametrize("name", ["entry_two", "three_ends"])
+def test_matchings_check_the_edge_ends(name):
+    """Every edge needs two distinct ends: a loop is no matching edge, and
+    an edge with three ends is a typed error, not a raw ValueError."""
+    with pytest.raises(NotTwoRegular):
+        all_perfect_matchings(NON_CUBIC_MAPS[name]())
 
 
 def _reference_even_covers(m):
