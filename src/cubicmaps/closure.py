@@ -5,8 +5,8 @@ One step on a cover with ``n`` cycles: split every cycle into its two
 alternating halves, pick one half per cycle (``2**n`` selections), keep the
 chosen halves plus every off-cover edge, and read the resulting 2-regular
 edge set off as a new cover.  A selection and its complement form one
-labelling, so the worklist tries ``2**(n-1)`` picks (the first cycle on its
-a-half) with both pairings each, and records each pick as a labelling.
+labelling, so the step ``_reselect`` lists ``2**(n-1)`` picks (the first
+cycle on its a-half), each one labelling with its two successor pairings.
 Iterating to a fixed point gives the seed's Kempe class: the connected
 component that holds the seed in the graph joining each cover to the
 labellings it induces (each labelling to the three covers its class pairs
@@ -57,31 +57,25 @@ def half_choices(n: int) -> list[tuple[str, ...]]:
     return list(product("ab", repeat=n))
 
 
-def _half_split(m: CubicMap, cover: Cover) -> tuple[list[tuple[int, int]], int, int]:
-    """Per-cycle (a-half, b-half) edge masks of a canonical cover, and the
-    masks of its on-cover and off-cover edges."""
-    pairs = []
-    on = 0
-    for cycle in cover:
-        a, b = (edge_mask(half) for half in alternating_halves(cycle))
-        pairs.append((a, b))
-        on |= a | b
-    return pairs, on, m._all_mask ^ on
-
-
-def _picks(pairs: list[tuple[int, int]]) -> list[int]:
-    """The ``2**(n-1)`` half picks in which the first cycle keeps its a-half,
-    in :func:`half_choices` order; a pick and ``on ^ pick`` are one labelling."""
-    picks = [pairs[0][0]]
-    for a, b in pairs[1:]:
+def _reselect(m: CubicMap, cover: Cover) -> list[tuple[int, int, int]]:
+    """The class-mask triple ``(pick, on ^ pick, off)`` of each half pick of a
+    canonical cover (a half is a cycle's even or odd positions), in
+    :func:`half_choices` order with the first cycle on its a-half.  Each of
+    the first two classes joined with ``off`` is a successor cover."""
+    first, *rest = cover
+    picks, on = [edge_mask(first[0::2])], edge_mask(first)
+    for cycle in rest:
+        a, b = edge_mask(cycle[0::2]), edge_mask(cycle[1::2])
         picks = [p | h for p in picks for h in (a, b)]
-    return picks
+        on |= a | b
+    off = m._all_mask ^ on
+    return [(p, on ^ p, off) for p in picks]
 
 
 def successor_covers(m: CubicMap, cover: Cover) -> set[Cover]:
     """All covers produced by one reselection step, deduplicated."""
-    pairs, on, off = _half_split(m, check_cover(m, cover))
-    return {mask_cover(m, s | off) for p in _picks(pairs) for s in (p, on ^ p)}
+    triples = _reselect(m, check_cover(m, cover))
+    return {mask_cover(m, s | off) for p, q, off in triples for s in (p, q)}
 
 
 class Closure(tuple):
@@ -107,10 +101,9 @@ def cover_closure(
     labels = set()
     queue = deque([seed])
     while queue:
-        pairs, on, off = _half_split(m, queue.popleft())
-        for p in _picks(pairs):
-            labels.add(tuple(sorted((p, on ^ p, off))))
-            for s in (p | off, (on ^ p) | off):
+        for p, q, off in _reselect(m, queue.popleft()):
+            labels.add(tuple(sorted((p, q, off))))
+            for s in (p | off, q | off):
                 if s not in seen:
                     seen[s] = new = mask_cover(m, s)
                     queue.append(new)

@@ -85,8 +85,12 @@ class RotationMap:
 
 
 def validate_rotation(rmap: RotationMap) -> None:
-    """Raise InvalidRotation unless the rotation system is a connected
-    loop-free map with every vertex of degree >= 3."""
+    """Raise InvalidRotation unless every id is a positive int and the rotation
+    system is a connected loop-free map with every vertex of degree >= 3."""
+    rows = (*rmap.rotations.values(), *rmap.endpoints.values())
+    for i in (*rmap.rotations, *rmap.endpoints, *(i for row in rows for i in row)):
+        if type(i) is not int or i < 1:
+            raise InvalidRotation(f"vertex and edge ids must be positive integers, not {i!r}")
     seen: dict[int, list[int]] = {}
     for v, rot in rmap.rotations.items():
         if len(rot) < 3:

@@ -41,8 +41,8 @@ class CubicMap:
     """A cubic planar map with opaque positive integer ids.
 
     ``vertex_edges`` and ``face_edges`` give each vertex and internal face
-    its id-sorted edges; a parsed matrix entry above 1 lists its edge
-    twice, so ``validate_map`` can report it.  The incidence matrices
+    its id-sorted edges; an edge listed twice, or a matrix entry above 1,
+    stays listed twice, so ``validate_map`` can report it.  The incidence matrices
     ``vertex_edge`` and ``face_edge`` (rows and columns id-sorted) are
     read-only uint8 arrays, built and numpy imported on first read.
     Instances are immutable after construction; every operation that
@@ -67,7 +67,7 @@ class CubicMap:
         boundary edge ids.  The keys are the vertex and face ids, and the
         edge ids are the ones the vertices meet."""
         vertex_edges, face_edges = (
-            {k: tuple(sorted(set(es))) for k, es in sorted(members.items())}
+            {k: tuple(sorted(es)) for k, es in sorted(members.items())}
             for members in (vertex_edges, face_edges)
         )
         edge_ids = tuple(sorted(set().union(*vertex_edges.values())))

@@ -7,14 +7,15 @@ their class sets coincide; the canonical form sorts the three classes.
 
 Each half pick of a cover is one labelling (picked halves, other halves,
 off edges).  ``closure_labellings`` reads the ones ``cover_closure``
-recorded; the single-cover functions split the cover they are given.
+recorded; the single-cover functions take the closure's reselection step
+on the cover they are given.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .closure import Closure, _half_split, _picks
+from .closure import Closure, _reselect
 from .errors import NoHamiltonian
 from .incidence import Cover, CubicMap, check_cover, mask_edges
 
@@ -26,7 +27,7 @@ def canonical_labelling(classes: Iterable[Iterable[int]]) -> Labelling:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _to_labellings(masks: set[tuple[int, int, int]]) -> list[Labelling]:
+def _to_labellings(masks: Collection[tuple[int, int, int]]) -> list[Labelling]:
     """Convert class-mask triples, each distinct class mask once: labellings
     of one cover share its off mask, and closures reuse their halves.  A
     labelling is the sorted triple of the shared ``mask_edges`` tuples."""
@@ -35,15 +36,12 @@ def _to_labellings(masks: set[tuple[int, int, int]]) -> list[Labelling]:
 
 
 def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
-    """The labelling induced by a cover with its canonical half split.
-
-    One class per alternating half (unioned across cycles), the third
-    class being the off-cover edges.  Proper by construction: every
-    vertex meets one edge of each half of its cycle plus its off edge.
-    """
-    pairs, on, off = _half_split(m, check_cover(m, cover))
-    a = sum(ha for ha, _ in pairs)  # the a-halves are disjoint
-    return canonical_labelling(mask_edges(c) for c in (a, on ^ a, off))
+    """The cover's canonical-split labelling, the step's first triple: every
+    a-half, every b-half and the off edges.  Proper, as each vertex meets both
+    halves of its cycle and an off edge.  The cycles are even, so the step on
+    their concatenation gives that triple alone, not all ``2**(n-1)``."""
+    joined = tuple(e for cycle in check_cover(m, cover) for e in cycle)
+    return canonical_labelling(map(mask_edges, _reselect(m, (joined,))[0]))
 
 
 def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
@@ -53,9 +51,7 @@ def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
     independently, so a cover with n cycles yields up to 2**(n-1)
     distinct labellings after the role quotient.
     """
-    pairs, on, off = _half_split(m, check_cover(m, cover))
-    masks = {tuple(sorted((p, on ^ p, off))) for p in _picks(pairs)}
-    return set(_to_labellings(masks))
+    return set(_to_labellings(_reselect(m, check_cover(m, cover))))
 
 
 def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:

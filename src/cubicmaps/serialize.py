@@ -152,8 +152,8 @@ def rotation_to_document(rotations: dict, endpoints: dict) -> Document:
 
 def rotation_from_document(doc: Document) -> tuple[dict, dict]:
     """Parse a rotation document: ``rotations`` and ``endpoints`` are objects
-    keyed by integer ids, each value a list of integers under the rule of
-    ``cycles_from_json``; ValueError otherwise."""
+    keyed by integer ids written plainly (``"7"``, not ``"07"``), each value
+    a list of integers under the rule of ``cycles_from_json``; ValueError otherwise."""
     try:
         sections = (doc["rotations"], doc["endpoints"])
         if not all(isinstance(section, dict) for section in sections):
@@ -161,6 +161,8 @@ def rotation_from_document(doc: Document) -> tuple[dict, dict]:
         rows = [row for section in sections for row in section.values()]
         if not all(isinstance(r, (list, tuple)) and all(type(x) is int for x in r) for r in rows):
             raise ValueError("every entry must be a list of integers")
+        if not all(k == str(int(k)) for section in sections for k in section):
+            raise ValueError("every key must be an integer id written plainly")
         rotations, endpoints = ({int(k): tuple(row) for k, row in s.items()} for s in sections)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed rotation document: {exc}") from exc

@@ -48,6 +48,14 @@ def random_insertion_walk(m, steps, rng: random.Random):
     return m, events
 
 
+def grown_cube():
+    """Map and cover of the final step of cube growth seed 13 x 20: 48
+    vertices, 72 edges (above the 45-edge oracle cap), and covers of up to
+    six cycles in its closure."""
+    step = grow(cube_map(), cube_seed(), 20, 13)[-1]
+    return step.map, step.cover
+
+
 def reference_maps() -> dict:
     """Name -> map for checking the oracles' fast paths against reference
     implementations: every bundled map document, the blow-up of every

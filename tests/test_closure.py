@@ -6,15 +6,18 @@ from cubicmaps import (
     InvalidCover,
     IterationLimit,
     alternating_halves,
+    blow_up,
     canonical_cover,
     check_cover,
     cover_closure,
+    decompose_two_factor,
     half_choices,
+    off_edges,
     successor_covers,
 )
-from cubicmaps.fixtures import cube_map, tetrahedron_map, theta_map
+from cubicmaps.fixtures import cube_map, tetrahedron_map, theta_map, wheel_rotation
 
-from conftest import random_insertion_walk
+from conftest import grown_cube, random_insertion_walk
 
 # the four covers one reselection step produces from the cube's seed:
 # the outer+inner squares, two Hamiltonian cycles, and the other two
@@ -62,6 +65,20 @@ def test_cube_successors_snapshot(cube, cube_cover):
 
 def test_theta_successors(theta, theta_cover):
     assert successor_covers(theta, theta_cover) == {((1, 3),), ((2, 3),)}
+
+
+def test_successors_follow_the_public_rule():
+    # reference: every half_choices selection of alternating_halves, plus
+    # the off edges, through decompose_two_factor; on the five covers with
+    # the most cycles (six, six, five, five, five) of a grown map
+    m, seed = grown_cube()
+    for cover in sorted(cover_closure(m, seed), key=lambda c: (-len(c), c))[:5]:
+        halves, off = [alternating_halves(cycle) for cycle in cover], off_edges(m, cover)
+        want = {
+            decompose_two_factor(m, off.union(*(h["ab".index(x)] for h, x in zip(halves, choice))))
+            for choice in half_choices(len(cover))
+        }
+        assert successor_covers(m, cover) == want
 
 
 def test_cube_closure_counts(cube, cube_cover):
@@ -131,8 +148,18 @@ INVALID_COVERS = {
     "one_edge_twice": ("theta", ((1, 1),)),
     "one_edge_in_two_cycles": ("theta", ((1,), (1,))),
     "vertex_on_no_cycle": ("cube", ((1, 9, 10, 11),)),
+    # the four ring triangles: they span the map and are the cycles of
+    # their union, so only their length is wrong
+    "spanning_odd_cycles": (
+        "wheel3_blow_up", ((7, 8, 9), (10, 11, 12), (13, 14, 15), (16, 17, 18))
+    ),
 }
-MAPS = {"cube": cube_map, "theta": theta_map, "tetrahedron": tetrahedron_map}
+MAPS = {
+    "cube": cube_map,
+    "theta": theta_map,
+    "tetrahedron": tetrahedron_map,
+    "wheel3_blow_up": lambda: blow_up(wheel_rotation(3))[0],
+}
 
 
 @pytest.mark.parametrize("name", INVALID_COVERS)

@@ -214,6 +214,10 @@ def test_corrupted_pull_back_is_detected():
     edge, (fa, fb) = next(iter(mapping.original_edge_faces.items()))
     back[fa] = back[fb]
     assert not validate_pulled_back(mapping, back)
+    # a proper colouring with a face missing, or with a face too many
+    proper = pull_back_colouring(fc, mapping)
+    for faces in ([f for f in proper if f != OUTER], [*proper, 99]):
+        assert not validate_pulled_back(mapping, {f: proper.get(f, COLOURS[0]) for f in faces})
 
 
 def test_invalid_rotations_are_rejected():
@@ -245,6 +249,46 @@ def test_invalid_rotations_are_rejected():
                 },
             )
         )
+
+
+def _renamed(rmap, old, new):
+    """The rotation map with vertex and edge id ``old`` both written ``new``."""
+    name = lambda i: new if i == old else i
+    return RotationMap(
+        {name(v): tuple(map(name, rot)) for v, rot in rmap.rotations.items()},
+        {name(e): tuple(map(name, ends)) for e, ends in rmap.endpoints.items()},
+    )
+
+
+# one row per rejection validate_rotation and blow_up make that
+# test_invalid_rotations_are_rejected does not: (rotation map, message)
+ROTATION_FAULTS = {
+    "negative_id": (_renamed(wheel_rotation(4), 1, -1), "positive integers, not -1"),
+    "zero_id": (_renamed(wheel_rotation(4), 1, 0), "positive integers, not 0"),
+    "string_id": (_renamed(wheel_rotation(4), 1, "1"), "positive integers, not '1'"),
+    "edge_three_times": (
+        RotationMap({1: (1, 2, 3), 2: (1, 2, 3), 3: (1, 4, 5)}, {}),
+        "edge 1 appears 3 times",
+    ),
+    "unknown_endpoint_edge": (
+        RotationMap({1: (1, 2, 3), 2: (3, 2, 1)}, {1: (1, 2), 2: (1, 2), 3: (1, 2), 9: (1, 2)}),
+        r"unknown edges \[9\]",
+    ),
+    "bridge": (
+        RotationMap(
+            {1: (1, 2, 3, 4), 2: (3, 2, 1), 3: (4, 5, 6, 7), 4: (7, 6, 5)},
+            {1: (1, 2), 2: (1, 2), 3: (1, 2), 4: (1, 3), 5: (3, 4), 6: (3, 4), 7: (3, 4)},
+        ),
+        "bridge",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROTATION_FAULTS)
+def test_rotation_faults_are_named(name):
+    rmap, message = ROTATION_FAULTS[name]
+    with pytest.raises(InvalidRotation, match=message):
+        blow_up(rmap)
 
 
 def test_colour_constants():

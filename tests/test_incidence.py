@@ -57,6 +57,15 @@ def test_non_binary_entries_are_reported(theta):
         assert m.vertex_edges[1] == (1, 1, 2, 3)  # listed twice, whatever the entry
 
 
+def test_edge_listed_twice_is_reported_by_both_constructors():
+    # the membership form keeps a duplicate just as a matrix entry of 2 does
+    members = CubicMap.from_membership({1: (1, 1, 2), 2: (1, 2, 2)}, {1: (1, 2)})
+    matrix = CubicMap([[2, 1], [1, 2]], [[1, 1]])
+    assert members.vertex_edges == matrix.vertex_edges == {1: (1, 1, 2), 2: (1, 2, 2)}
+    for m in (members, matrix):
+        assert validate_map(m) == ["vertex-edge matrix has entries outside {0,1}"]
+
+
 def test_euler_check(cube, theta):
     # theta: 2 - 3 + (2 + 1) = 2; cube: 8 - 12 + (5 + 1) = 2
     assert euler_check(theta)

@@ -4,16 +4,19 @@ from cubicmaps import (
     CubicMap,
     NoHamiltonian,
     all_proper_labellings,
+    alternating_halves,
     cover_closure,
     dedup_labellings,
-    grow,
     hamiltonian_covers,
     labelling_from_cover,
     labellings_from_cover,
+    off_edges,
     validate_labelling,
 )
 from cubicmaps.fixtures import cube_map, cube_seed
-from cubicmaps.labelling import closure_labellings
+from cubicmaps.labelling import canonical_labelling, closure_labellings
+
+from conftest import grown_cube
 
 
 def test_theta_labelling(theta, theta_cover):
@@ -39,9 +42,27 @@ def test_labelling_from_cover_is_proper(cube, theta, cube_cover, theta_cover):
             assert validate_labelling(m, labelling_from_cover(m, c))
 
 
+def test_labelling_from_cover_is_the_a_half_split():
+    # reference: the union of every cycle's a-half, of every b-half, and the
+    # off edges, on every cover of a grown map (up to six cycles)
+    m, seed = grown_cube()
+    for cover in cover_closure(m, seed):
+        halves = [alternating_halves(cycle) for cycle in cover]
+        want = canonical_labelling([
+            frozenset().union(*(a for a, _ in halves)),
+            frozenset().union(*(b for _, b in halves)),
+            off_edges(m, cover),
+        ])
+        assert labelling_from_cover(m, cover) == want
+        assert want in labellings_from_cover(m, cover)
+
+
 def test_validate_labelling_rejects_bad_classes(theta, cube):
     assert not validate_labelling(theta, ((1, 2), (3,), ()))  # parallel pair shares a class
     assert not validate_labelling(theta, ((1, 2, 3), (), ()))
+    assert not validate_labelling(theta, ((1,), (2,), (3,), ()))  # a fourth class
+    assert not validate_labelling(theta, ((1,), (1,), (2,)))  # sizes add up, edge 3 missing
+    assert not validate_labelling(theta, ((1,), (2,), (4,)))  # an id the map lacks
     assert not validate_labelling(cube, ((1, 2), (3,), (4,)))  # not a partition
     four_cycle = CubicMap.from_membership(
         {1: (1, 4), 2: (1, 2), 3: (2, 3), 4: (3, 4)}, {1: (1, 2, 3, 4)}
@@ -105,15 +126,8 @@ def test_closure_labellings_rejects_anything_but_its_closure(cube, theta, cube_c
         closure_labellings(cube_map(), closure)  # an equal map, but not the same one
 
 
-def _grown_cube():
-    # final map of cube growth seed 13 x 20: 48 vertices, 72 edges, above
-    # the 45-edge oracle cap
-    step = grow(cube_map(), cube_seed(), 20, 13)[-1]
-    return step.map, step.cover
-
-
 @pytest.mark.parametrize(
-    "source", [lambda: (cube_map(), cube_seed()), _grown_cube], ids=["cube", "grown_cube"]
+    "source", [lambda: (cube_map(), cube_seed()), grown_cube], ids=["cube", "grown_cube"]
 )
 def test_closure_labellings_are_the_union_over_covers(source):
     m, seed = source()

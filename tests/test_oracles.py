@@ -260,6 +260,10 @@ def test_planted_gap_is_detected(cube, cube_cover):
     assert report.witness and report.witness["missing_from_closure"]
     doc = report.to_document()
     assert doc["verdict"] == "refuted" and "witness" in doc
+    # and the other way round: a cover the oracle lacks is named
+    report = compare_cover_sets(cube, closure, closure[1:])
+    assert report.verdict == "refuted"
+    assert report.witness == {"not_in_oracle": [[list(c) for c in closure[0]]]}
 
 
 def test_conjecture_one_refuted_on_bundled_counterexample():

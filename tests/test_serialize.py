@@ -213,9 +213,13 @@ def test_rotation_document_round_trip():
         lambda doc: doc["rotations"]["1"].__setitem__(0, True),
         lambda doc: doc["endpoints"]["1"].__setitem__(0, "3"),
         lambda doc: doc["rotations"].update({"1": "123"}),
+        lambda doc: doc["rotations"].update({"01": [1, 2, 3]}),
+        lambda doc: doc["rotations"].__setitem__("1_0", doc["rotations"].pop("1")),
+        lambda doc: doc["endpoints"].__setitem__(" 1", doc["endpoints"].pop("1")),
+        lambda doc: doc["endpoints"].__setitem__("+1", doc["endpoints"].pop("1")),
     ],
     ids=["rotations_list", "endpoints_list", "float_entry", "bool_entry", "string_entry",
-         "string_row"],
+         "string_row", "leading_zero_key", "underscore_key", "space_key", "plus_key"],
 )
 def test_malformed_rotation_document_raises_value_error(mutate):
     doc = json.loads(fixture_path("wheel4.json").read_text())
