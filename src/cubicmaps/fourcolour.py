@@ -85,9 +85,13 @@ class RotationMap:
 
 
 def validate_rotation(rmap: RotationMap) -> None:
-    """Raise InvalidRotation unless every id is a positive int and the rotation
-    system is a connected loop-free map with every vertex of degree >= 3."""
+    """Raise InvalidRotation unless every row is a tuple or list, every id is a
+    positive int, and the rotation system is a connected loop-free map with
+    every vertex of degree >= 3."""
     rows = (*rmap.rotations.values(), *rmap.endpoints.values())
+    for row in rows:
+        if not isinstance(row, (tuple, list)):
+            raise InvalidRotation(f"rotation and endpoint rows must be sequences, not {row!r}")
     for i in (*rmap.rotations, *rmap.endpoints, *(i for row in rows for i in row)):
         if type(i) is not int or i < 1:
             raise InvalidRotation(f"vertex and edge ids must be positive integers, not {i!r}")

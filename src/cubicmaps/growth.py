@@ -91,6 +91,10 @@ def insert_edge(
     then ``y`` at their inner points.  The walk from ``x`` to ``y`` plus
     ``g`` becomes ``new_face`` (a bigon for equal targets); the rest plus
     ``g`` keeps ``face``.
+
+    Only the rows the insertion touches are rebuilt: the targets' ends,
+    ``x`` and ``y``, the faces that hold a target, and ``new_face``.  Every
+    other row of the new map is the parent's tuple, shared.
     """
     walk = face_boundary_walk(m, face)
     walk_edges = [e for _, e in walk]
@@ -105,34 +109,39 @@ def insert_edge(
     split = {e: tuple(islice(fresh, segments)) for e in dict.fromkeys((e1, e2))}
     g = next(fresh)
 
-    vertex_edges = {v: set(es) for v, es in m.vertex_edges.items()}
-    vertex_edges[x], vertex_edges[y] = {g}, {g}
-    face_sets = {f: set(es) for f, es in m.face_edges.items()}
+    vertex_sets = {v: set(m.vertex_edges[v]).difference(split) for old in split
+                   for v in m.edge_vertices[old]}
+    vertex_sets[x], vertex_sets[y] = {g}, {g}
+    face_sets = {f: set(m.face_edges[f]) for old in split for f in m.edge_internal_faces[old]}
     for old, segs in split.items():
-        for v in m.edge_vertices[old]:
-            vertex_edges[v].remove(old)
-        for edges in face_sets.values():
-            if old in edges:
-                edges.remove(old)
-                edges.update(segs)
+        for f in m.edge_internal_faces[old]:
+            face_sets[f].remove(old)
+            face_sets[f].update(segs)
 
     i = walk_edges.index(e1)
     inner = iter((x, y))
     cut = []  # (entry vertex, edge) around the subdivided boundary
     for v, e in walk[i:] + walk[:i]:
-        segs = split.get(e, (e,))
+        segs = split.get(e)
+        if segs is None:
+            cut.append((v, e))
+            continue
         points = [v, *islice(inner, len(segs) - 1), m.other_endpoint(e, v)]
         for k, seg in enumerate(segs):
-            # re-adding an untouched edge to its own ends changes nothing
-            vertex_edges[points[k]].add(seg)
-            vertex_edges[points[k + 1]].add(seg)
+            vertex_sets[points[k]].add(seg)
+            vertex_sets[points[k + 1]].add(seg)
             cut.append((points[k], seg))
     entries = [v for v, _ in cut]
     ix, iy = entries.index(x), entries.index(y)
     face_sets[new_face] = {e for _, e in cut[ix:iy]} | {g}
     face_sets[face] = {e for _, e in cut[iy:] + cut[:ix]} | {g}
 
-    new_map = CubicMap.from_membership(vertex_edges, face_sets)
+    # fresh ids exceed every existing id, so appending them keeps id order
+    new_map = CubicMap._from_rows(
+        _with_rows(m.vertex_edges, vertex_sets),
+        _with_rows(m.face_edges, face_sets),
+        tuple(e for e in m.edge_ids if e not in split) + tuple(range(m.next_ids.edge, g + 1)),
+    )
     event = InsertionEvent(
         face=face,
         targets=(e1, e2),
@@ -142,6 +151,11 @@ def insert_edge(
         new_face=new_face,
     )
     return new_map, event
+
+
+def _with_rows(rows, changed):
+    """``rows`` with the ``changed`` rows sorted in; new keys come last."""
+    return {**rows, **{k: tuple(sorted(es)) for k, es in changed.items()}}
 
 
 def compatible_cover(covers: Iterable[Cover], e1: int, e2: int) -> Cover | None:

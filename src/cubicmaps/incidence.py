@@ -70,7 +70,16 @@ class CubicMap:
             {k: tuple(sorted(es)) for k, es in sorted(members.items())}
             for members in (vertex_edges, face_edges)
         )
-        edge_ids = tuple(sorted(set().union(*vertex_edges.values())))
+        return cls._from_rows(
+            vertex_edges, face_edges, tuple(sorted(set().union(*vertex_edges.values())))
+        )
+
+    @classmethod
+    def _from_rows(cls, vertex_edges: Members, face_edges: Members, edge_ids) -> CubicMap:
+        """The constructor core: the map of rows already in the constructed
+        form (keys in id order, each row an id-sorted tuple) and the sorted
+        ids of the edges the vertices meet.  The row dicts are kept, not
+        copied, so a caller may share unchanged rows with another map."""
         m = cls.__new__(cls)
         m._set_members(vertex_edges, face_edges, edge_ids, edge_ids)
         return m
@@ -274,6 +283,18 @@ def validate_map(m: CubicMap) -> list[str]:
         report.append(f"face-edge matrix has {widths[1]} columns, vertex-edge has {widths[0]}")
     if report:
         return report
+    # only the membership constructor can name such edges; the edge masks of
+    # the face check need non-negative int ids
+    bad_ids = [e for e in m.edge_ids if type(e) is not int or e < 0]
+    if bad_ids:
+        report.append(f"edge ids {bad_ids} are not non-negative integers")
+    known = m.all_edges
+    for f, edges in m.face_edges.items():
+        unknown = [e for e in edges if e not in known]
+        if unknown:
+            report.append(f"face row {f} lists edges {unknown} that no vertex meets")
+    if report:
+        return report
 
     for v, edges in m.vertex_edges.items():
         if len(edges) != 3:
@@ -295,13 +316,19 @@ def validate_map(m: CubicMap) -> list[str]:
     # Outer boundary: every vertex lies on 0 or 2 external edges.
     external = m.external_edges
     for v, edges in m.vertex_edges.items():
-        k = sum(1 for e in edges if e in external)
+        k = len(external.intersection(edges))
         if k not in (0, 2):
             report.append(f"vertex {v} touches {k} external edges (expected 0 or 2)")
-    for f in m.face_ids:
-        try:
-            face_boundary(m, f)
-        except MalformedFace:
+    # A face is one closed boundary when every vertex it touches meets two of
+    # its edges and those edges walk as one cycle: what ``face_boundary``
+    # checks, without building the canonical cycle it returns.
+    ends = m.edge_vertices
+    for f, edges in m.face_edges.items():
+        degree: dict[int, int] = {}
+        for e in edges:
+            for v in ends[e]:
+                degree[v] = degree.get(v, 0) + 1
+        if set(degree.values()) != {2} or len(walk_cycles(m, edge_mask(edges))) != 1:
             report.append(f"face {f} edges do not form one closed boundary")
     return report
 
@@ -352,7 +379,8 @@ def walk_cycles(m: CubicMap, mask: int) -> list[list[int]]:
 
     The only cycle walker of the package.  Every vertex the mask touches
     must meet exactly two of its edges; callers check that with
-    ``_degree_two_mask`` (or, like the closure, build only such masks).
+    ``_degree_two_mask`` (or, like the closure, build only such masks, or,
+    like ``validate_map``, count the degrees first to report, not raise).
     Each cycle is walked from its lowest edge id, and cycles come out in
     order of their lowest edge id.
     """
@@ -386,9 +414,9 @@ def _degree_two_mask(
 ) -> int:
     """Edge mask of an edge set in which every vertex meets exactly two edges.
 
-    The one degree check of the package.  Checks the vertices the edges
-    touch, or with ``spanning`` every vertex of the map in id order, and
-    raises ``error`` at the first edge that is not an edge id of the map
+    The one raising degree check of the package.  Checks the vertices the
+    edges touch, or with ``spanning`` every vertex of the map in id order,
+    and raises ``error`` at the first edge that is not an edge id of the map
     (floats, booleans, strings and unhashable values are not ids), at the
     first offending vertex, or if an edge is listed twice.
     """

@@ -266,6 +266,7 @@ ROTATION_FAULTS = {
     "negative_id": (_renamed(wheel_rotation(4), 1, -1), "positive integers, not -1"),
     "zero_id": (_renamed(wheel_rotation(4), 1, 0), "positive integers, not 0"),
     "string_id": (_renamed(wheel_rotation(4), 1, "1"), "positive integers, not '1'"),
+    "row_not_a_sequence": (RotationMap({1: 5, 2: (1, 2, 3)}, {}), "sequences, not 5"),
     "edge_three_times": (
         RotationMap({1: (1, 2, 3), 2: (1, 2, 3), 3: (1, 4, 5)}, {}),
         "edge 1 appears 3 times",

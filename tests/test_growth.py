@@ -64,6 +64,24 @@ def test_insert_same_edge(theta):
     assert len(m2.face_edge_sets[event.new_face]) == 2  # the new bigon
 
 
+@pytest.mark.parametrize("start, face, e1, e2", [(cube_map, 4, 3, 4), (theta_map, 1, 1, 1)])
+def test_insertion_shares_the_rows_it_does_not_touch(start, face, e1, e2):
+    m = start()
+    vertex_rows, face_rows = dict(m.vertex_edges), dict(m.face_edges)
+    m2, _ = insert_edge(m, face, e1, e2)
+    # the parent keeps its rows, the very same tuples
+    assert m.vertex_edges == vertex_rows and m.face_edges == face_rows
+    assert all(m.vertex_edges[v] is row for v, row in vertex_rows.items())
+    assert all(m.face_edges[f] is row for f, row in face_rows.items())
+    touched_vertices = {v for e in (e1, e2) for v in m.edge_vertices[e]}
+    touched_faces = {f for e in (e1, e2) for f in m.edge_internal_faces[e]}
+    for v in m.vertex_ids:
+        assert (m2.vertex_edges[v] is m.vertex_edges[v]) == (v not in touched_vertices)
+    for f in m.face_ids:
+        assert (m2.face_edges[f] is m.face_edges[f]) == (f not in touched_faces)
+    assert set(m.face_ids) > touched_faces  # some face row is shared
+
+
 def test_insert_rejects_foreign_edge(cube):
     with pytest.raises(EdgeNotOnFace):
         insert_edge(cube, 4, 3, 9)  # edge 9 lies on faces 2 and 3 only

@@ -24,11 +24,12 @@ from cubicmaps import (
     decompose_two_factor,
     euler_check,
     face_boundary,
+    incidence,
     off_edges,
     order_cycle,
     validate_map,
 )
-from cubicmaps.fixtures import tetrahedron_map, theta_map
+from cubicmaps.fixtures import cube_map, tetrahedron_map, theta_map
 from cubicmaps.incidence import edge_mask, face_boundary_walk, mask_edges, walk_cycles
 
 from conftest import random_insertion_walk
@@ -168,6 +169,83 @@ def test_face_boundary_stray_one_is_malformed(cube):
 def test_face_boundary_unknown_face(cube):
     with pytest.raises(MalformedFace):
         face_boundary(cube, 99)
+
+
+def test_face_row_naming_an_edge_no_vertex_lists_is_reported():
+    m = CubicMap.from_membership({1: (1, 2, 3), 2: (1, 2, 3)}, {1: (1, 2), 2: (2, 99)})
+    assert validate_map(m) == ["face row 2 lists edges [99] that no vertex meets"]
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_edge_ids_that_cannot_index_a_mask_are_reported(bad):
+    # the membership form of theta with edge 1 renamed; the face check's
+    # edge masks shift by edge id, so these ids are reported before it
+    m = CubicMap.from_membership({1: (bad, 2, 3), 2: (bad, 2, 3)}, {1: (bad, 2), 2: (2, 3)})
+    assert validate_map(m) == [f"edge ids [{bad!r}] are not non-negative integers"]
+
+
+def _one_edge_corruptions(m):
+    """``m`` with one face row gaining an external edge or losing an
+    internal one, in every way: each edge stays on one or two internal
+    faces, so ``validate_map`` passes its column checks and reaches the
+    face check."""
+    for f, row in m.face_edges.items():
+        for e in m.edge_ids:
+            if e in row and e not in m.external_edges:
+                changed = tuple(x for x in row if x != e)
+            elif e not in row and e in m.external_edges:
+                changed = tuple(sorted((*row, e)))
+            else:
+                continue
+            yield CubicMap.from_membership(m.vertex_edges, {**m.face_edges, f: changed})
+
+
+def _malformed_faces(m):
+    """The faces on which the public ``face_boundary`` raises MalformedFace."""
+    out = []
+    for f in m.face_ids:
+        try:
+            face_boundary(m, f)
+        except MalformedFace:
+            out.append(f)
+    return out
+
+
+def test_face_check_agrees_with_face_boundary():
+    grown, _ = random_insertion_walk(theta_map(), 8, random.Random(7))
+    suffix = " edges do not form one closed boundary"
+    tried = flagged = 0
+    for m in (cube_map(), theta_map(), tetrahedron_map(), grown):
+        for broken in _one_edge_corruptions(m):
+            lines = [line for line in validate_map(broken) if line.endswith(suffix)]
+            faces = [int(line.removeprefix("face ").removesuffix(suffix)) for line in lines]
+            assert faces == _malformed_faces(broken)
+            tried += 1
+            flagged += bool(faces)
+    assert tried > 100 and flagged == tried
+
+
+def test_face_of_two_cycles_reaches_the_walk(cube):
+    # the inner quad's row plus the outer quad's edges: every vertex meets
+    # two of its edges, and only the walk tells the row is two cycles
+    inner = next(f for f, row in cube.face_edges.items() if cube.external_edges.isdisjoint(row))
+    row = tuple(sorted((*cube.face_edges[inner], *cube.external_edges)))
+    m = CubicMap.from_membership(cube.vertex_edges, {**cube.face_edges, inner: row})
+    assert len(walk_cycles(m, edge_mask(row))) == 2
+    assert validate_map(m) == [f"face {inner} edges do not form one closed boundary"]
+    with pytest.raises(MalformedFace, match="disconnected"):
+        face_boundary(m, inner)
+
+
+def test_valid_maps_are_checked_without_face_boundary(monkeypatch):
+    # built before the count starts, since inserting calls face_boundary
+    grown, _ = random_insertion_walk(theta_map(), 8, random.Random(7))
+    calls = []
+    real = incidence.face_boundary
+    monkeypatch.setattr(incidence, "face_boundary", lambda m, f: calls.append(f) or real(m, f))
+    for m in (cube_map(), theta_map(), tetrahedron_map(), grown):
+        assert validate_map(m) == []
+    assert calls == []
 
 
 def test_off_edges(cube, theta, cube_cover, theta_cover):
