@@ -20,7 +20,6 @@ from .errors import (
     IterationLimit,
     MalformedFace,
     MapError,
-    NoCompatibleInsertion,
     NoHamiltonian,
     NotACycle,
     NotTwoRegular,

@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract for CI: 0 success, 1 domain failure
 (invalid map, refuted conjecture), 2 parse/I-O failure or bad argument
-(a negative ``--iterations`` or oracle cap), 3 no compatible
-insertion found during growth (a shared-cycle conjecture witness), 4
+(a negative ``--iterations`` or oracle cap), 3 reserved (growth cannot
+get stuck: every closure has a host for a pair of equal edges), 4
 oracle cap exceeded.  A closure without a Hamiltonian cycle is not a
 failure: ``enumerate`` and ``grow`` print a warning and exit 0.
 """
@@ -16,7 +16,7 @@ import os
 import sys
 
 from .closure import cover_closure
-from .errors import CapExceeded, MapError, NoCompatibleInsertion
+from .errors import CapExceeded, MapError
 from .growth import grow, growth_step
 from .incidence import check_cover, validate_map
 from .labelling import labelling_from_cover
@@ -127,13 +127,7 @@ def cmd_grow(args) -> int:
         raise _CliFailure(2, "--iterations must be >= 0")
     if args.trace:
         _write(args.trace)  # fail on an unwritable path before growth runs
-    try:
-        steps = grow(m, cycles, iterations=args.iterations, rng_seed=args.seed)
-    except NoCompatibleInsertion as exc:
-        witness_path = args.out or "shared_cycle_witness.json"
-        _write(witness_path, canonical_json(exc.witness) + "\n")
-        print(f"no compatible insertion exists; witness written to {witness_path}")
-        return 3
+    steps = grow(m, cycles, iterations=args.iterations, rng_seed=args.seed)
     for i, step in enumerate(steps):
         print(
             f"step {i}: V={step.map.n_vertices} E={step.map.n_edges} "
@@ -205,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="map document (JSON)")
-        p.add_argument("--out", help="output artifact path")
         p.set_defaults(func=func)
         return p
 
     add("validate", cmd_validate, "check the structural invariants of a map")
-    add("enumerate", cmd_enumerate, "cycle covers, labellings and Hamiltonian cycles")
+    p = add("enumerate", cmd_enumerate, "cycle covers, labellings and Hamiltonian cycles")
+    p.add_argument("--out", help="write the covers, labellings and Hamiltonian cycles here (JSON)")
 
     p = add("grow", cmd_grow, "insert random edges, re-enumerating after each")
     p.add_argument("--iterations", type=int, default=0, help="number of edge insertions")
@@ -220,9 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", cmd_check, "machine-check both conjectures against the oracles")
     p.add_argument("--cap", type=int, help=f"oracle edge cap (default {DEFAULT_ORACLE_CAP}, env {CAP_ENV_VAR})")
     p.add_argument("--covers", help="JSON cover list overriding the oracle (regression use)")
+    p.add_argument("--out", help="write the refuted conjectures' witnesses here "
+                   "(default conjecture_witnesses.json)")
 
     p = add("export", cmd_export, "write the canonical JSON document or DOT source")
     p.add_argument("--format", choices=("json", "dot"), default="json")
+    p.add_argument("--out", help="write the document here instead of to standard output")
     return parser
 
 

@@ -43,19 +43,6 @@ class IncompatibleCover(MapError):
     """The cover has no single cycle through the insertion targets."""
 
 
-class NoCompatibleInsertion(MapError):
-    """No face/edge pair of the current map admits a compatible cover.
-
-    This is the shared-cycle conjecture failure witness; the exception
-    carries a serializable ``witness`` dict describing the map and the
-    first failing pair.
-    """
-
-    def __init__(self, message: str, witness: dict):
-        super().__init__(message)
-        self.witness = witness
-
-
 class CapExceeded(MapError):
     """A brute-force enumerator was asked to run above its edge cap."""
 

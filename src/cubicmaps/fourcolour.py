@@ -106,7 +106,7 @@ def validate_rotation(rmap: RotationMap) -> None:
             raise InvalidRotation(f"edge {e} appears {len(vs)} times in rotations")
         if vs[0] == vs[1]:
             raise InvalidRotation(f"edge {e} is a loop at vertex {vs[0]}")
-        if e not in rmap.endpoints or set(vs) != set(rmap.endpoints[e]):
+        if e not in rmap.endpoints or sorted(vs) != sorted(rmap.endpoints[e]):
             raise InvalidRotation(f"edge {e} rotations disagree with endpoints")
     extra = set(rmap.endpoints) - set(seen)
     if extra:

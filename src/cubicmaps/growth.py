@@ -20,12 +20,7 @@ from itertools import count, islice
 from typing import Iterable
 
 from .closure import cover_closure
-from .errors import (
-    EdgeNotOnFace,
-    IncompatibleCover,
-    NoCompatibleInsertion,
-    NoHamiltonian,
-)
+from .errors import EdgeNotOnFace, IncompatibleCover, NoHamiltonian
 from .incidence import (
     Cover,
     CubicMap,
@@ -34,7 +29,6 @@ from .incidence import (
     face_boundary_walk,
 )
 from .labelling import Labelling, closure_labellings, hamiltonian_covers
-from .serialize import map_to_document, positional_ids
 
 
 @dataclass(frozen=True)
@@ -200,34 +194,6 @@ def face_pairs(m: CubicMap):
                 yield face, a, b
 
 
-def _draw_insertion(m, covers, rng, step):
-    """Redraw until the drawn pair has a compatible cover.
-
-    After the first failed draw, one exhaustive scan checks every face/edge
-    pair of the current map.  Only when *no* pair admits one does the run
-    halt: that map is a candidate shared-cycle counterexample and becomes
-    a witness, its failing pair in its map document's positional ids.
-    """
-    for attempt in count():
-        face, e1, e2 = choose_insertion(m, rng)
-        host = compatible_cover(covers, e1, e2)
-        if host is not None:
-            return face, e1, e2, host
-        if attempt == 0 and all(
-            compatible_cover(covers, a, b) is None for _, a, b in face_pairs(m)
-        ):
-            first_face, a, b = next(iter(face_pairs(m)))
-            _, emap, fmap = positional_ids(m)
-            raise NoCompatibleInsertion(
-                "no face/edge pair admits a compatible cover",
-                witness={
-                    "step": step,
-                    "map": map_to_document(m),
-                    "failing_pair": {"face": fmap[first_face], "edges": [emap[a], emap[b]]},
-                },
-            )
-
-
 def growth_step(m: CubicMap, cover: Cover, event: InsertionEvent | None = None) -> GrowthStep:
     """The per-map work of growth: the closure of ``cover`` on ``m``, its
     labellings and its Hamiltonian subset.  A map without a Hamiltonian
@@ -251,16 +217,25 @@ def grow(
     """Run ``iterations`` random insertions starting from a covered map.
 
     Step 0 is ``growth_step`` on the checked seed cover.  Each later step
-    draws a pair with a compatible host cover, inserts the edge, rewrites
-    the host onto the new map and runs ``growth_step`` on it with the
-    insertion event.  Fully reproducible from ``rng_seed``.
+    redraws with ``choose_insertion`` until ``compatible_cover`` finds a
+    host in the closure, inserts the edge, rewrites the host onto the new
+    map and runs ``growth_step`` on it with the insertion event.  Fully
+    reproducible from ``rng_seed``.
+
+    The redraw loop ends: if an edge e is off a closure cover C, every half
+    pick (p, q, off) of C has e in ``off``, and the successor ``p | off`` is
+    in the closure with e on a cycle, so any draw with e1 == e2 succeeds.
+    This rests on drawing against the full closure of the previous step.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     rng = random.Random(rng_seed)
     steps = [growth_step(m, check_cover(m, seed_cover))]
-    for i in range(iterations):
-        face, e1, e2, host = _draw_insertion(m, steps[-1].covers, rng, i)
+    for _ in range(iterations):
+        host = None
+        while host is None:
+            face, e1, e2 = choose_insertion(m, rng)
+            host = compatible_cover(steps[-1].covers, e1, e2)
         m, event = insert_edge(m, face, e1, e2)
         steps.append(growth_step(m, rewrite_cover(host, event, m), event))
     return steps

@@ -1,12 +1,10 @@
 import hashlib
 import json
 import shutil
-from itertools import count
 
 import pytest
 
 import cubicmaps.cli as cli
-import cubicmaps.growth as growth
 import cubicmaps.oracles as oracles
 from cubicmaps.cli import main
 from cubicmaps.fixtures import fixture_path, theta_map
@@ -102,6 +100,14 @@ def test_grow_rejects_negative_iterations(theta_file):
     assert main(["grow", "--input", theta_file, "--iterations", "-1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "grow"])
+def test_out_is_unknown_where_nothing_is_written(command, cube_file, tmp_path):
+    with pytest.raises(SystemExit) as caught:
+        main([command, "--input", cube_file, "--out", str(tmp_path / "x")])
+    assert caught.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_grow_traces_are_byte_identical(theta_file, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for path in (a, b):
@@ -110,26 +116,6 @@ def test_grow_traces_are_byte_identical(theta_file, tmp_path):
              "--trace", str(path)]
         ) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_grow_witness_uses_positional_ids(cube_file, tmp_path, monkeypatch, capsys):
-    # After three real draws no cover is compatible, so step 3's scan fails
-    # on a map whose raw ids have gaps from the retired target edges.
-    real, calls = growth.compatible_cover, count(1)
-
-    def three_then_none(covers, e1, e2):
-        return real(covers, e1, e2) if next(calls) <= 3 else None
-
-    monkeypatch.setattr(growth, "compatible_cover", three_then_none)
-    witness_path = tmp_path / "witness.json"
-    rc = main(["grow", "--input", cube_file, "--iterations", "20", "--seed", "42",
-               "--out", str(witness_path)])
-    assert rc == 3
-    witness = json.loads(witness_path.read_text())
-    assert witness["step"] == 3
-    pair = witness["failing_pair"]
-    row = witness["map"]["face_edge"][pair["face"] - 1]
-    assert all(row[e - 1] for e in pair["edges"])
 
 
 def test_check_holds_on_cube(cube_file, capsys):
@@ -361,13 +347,14 @@ REPORTS = {
     "wider_face_edge": ["face-edge matrix has 13 columns, vertex-edge has 12"],
 }
 
+# relative --out paths land in the test's working directory
 COMMANDS = (
     ["validate"],
-    ["enumerate"],
+    ["enumerate", "--out", "out"],
     ["grow", "--iterations", "2"],
-    ["check"],
-    ["export", "--format", "json"],
-    ["export", "--format", "dot"],
+    ["check", "--out", "out"],
+    ["export", "--format", "json", "--out", "out"],
+    ["export", "--format", "dot", "--out", "out"],
 )
 
 
@@ -388,9 +375,6 @@ def test_mutated_documents_keep_exit_code_contract(name, tmp_path, monkeypatch, 
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(_mutated_cube(name)))
     monkeypatch.chdir(tmp_path)  # witness files default to the working directory
-    got = tuple(
-        main([*command, "--input", str(path), "--out", str(tmp_path / "out")])
-        for command in COMMANDS
-    )
+    got = tuple(main([*command, "--input", str(path)]) for command in COMMANDS)
     assert got == MUTATIONS[name][1]
     assert "Traceback" not in "".join(capsys.readouterr())

@@ -221,6 +221,8 @@ def test_corrupted_pull_back_is_detected():
 
 
 def test_invalid_rotations_are_rejected():
+    with pytest.raises(ValueError):  # a wheel needs a rim of three
+        wheel_rotation(2)
     with pytest.raises(InvalidRotation):  # edge 9 listed once
         blow_up(RotationMap({1: (1, 2, 9), 2: (1, 2, 3), 3: (3, 4, 5)}, {}))
     with pytest.raises(InvalidRotation):  # loop
@@ -267,6 +269,10 @@ ROTATION_FAULTS = {
     "zero_id": (_renamed(wheel_rotation(4), 1, 0), "positive integers, not 0"),
     "string_id": (_renamed(wheel_rotation(4), 1, "1"), "positive integers, not '1'"),
     "row_not_a_sequence": (RotationMap({1: 5, 2: (1, 2, 3)}, {}), "sequences, not 5"),
+    "endpoint_row_of_three": (
+        RotationMap(wheel_rotation(4).rotations, {**wheel_rotation(4).endpoints, 1: (1, 2, 2)}),
+        "edge 1 rotations disagree with endpoints",
+    ),
     "edge_three_times": (
         RotationMap({1: (1, 2, 3), 2: (1, 2, 3), 3: (1, 4, 5)}, {}),
         "edge 1 appears 3 times",

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import cubicmaps.growth as growth
 from cubicmaps import (
     EdgeNotOnFace,
     IncompatibleCover,
@@ -173,6 +174,40 @@ def test_grow_zero_iterations(cube):
     assert len(steps) == 1
     assert steps[0].event is None
     assert len(steps[0].covers) == 9
+    with pytest.raises(ValueError):
+        grow(cube, cube_seed(), iterations=-1, rng_seed=1)
+
+
+def test_grow_redraws_after_a_draw_without_host(cube, monkeypatch):
+    draws, calls = [], []
+    real_choose, real_compatible = growth.choose_insertion, growth.compatible_cover
+
+    def choose(m, rng):
+        draws.append(real_choose(m, rng))
+        return draws[-1]
+
+    def none_first(covers, e1, e2):
+        calls.append((e1, e2))
+        return real_compatible(covers, e1, e2) if len(calls) > 1 else None
+
+    monkeypatch.setattr(growth, "choose_insertion", choose)
+    monkeypatch.setattr(growth, "compatible_cover", none_first)
+    steps = grow(cube, cube_seed(), iterations=5, rng_seed=42)
+    assert len(steps) == 6
+    assert len(draws) == len(calls) == 6
+    assert [s.event.targets for s in steps[1:]] == [(e1, e2) for _, e1, e2 in draws[1:]]
+
+
+@pytest.mark.parametrize(
+    "start, seed_cover, rng_seed",
+    [(cube_map, cube_seed, 42), (cube_map, cube_seed, 13),
+     (theta_map, theta_seed, 3), (theta_map, theta_seed, 93)],
+)
+def test_every_edge_lies_on_a_closure_cycle(start, seed_cover, rng_seed):
+    # so a draw of one edge twice always has a host, and growth's redraws end
+    for step in grow(start(), seed_cover(), iterations=20, rng_seed=rng_seed):
+        on_cycles = {e for cover in step.covers for cycle in cover for e in cycle}
+        assert on_cycles == set(step.map.edge_ids)
 
 
 def test_grow_four_iterations_from_cube(cube):

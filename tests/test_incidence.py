@@ -93,6 +93,8 @@ def test_order_cycle_rejects_open_path(cube):
         order_cycle(cube, {1, 9, 10, 42})  # closed only through an unknown id
     with pytest.raises(NotACycle):
         order_cycle(cube, {42})
+    with pytest.raises(NotACycle, match="empty edge set"):
+        order_cycle(cube, [])
 
 
 @pytest.mark.parametrize("cycle", [(1.0, 2.0), (True, 2), ("1", 2), (1, 2.0), ([1], 2)])
