@@ -2,17 +2,17 @@
 
 Exit codes are a stable contract for CI: 0 success, 1 domain failure
 (invalid map, refuted conjecture), 2 parse/I-O failure or bad argument
-(a negative ``--iterations`` or oracle cap), 3 reserved (growth cannot
-get stuck: every closure has a host for a pair of equal edges), 4
-oracle cap exceeded.  A closure without a Hamiltonian cycle is not a
-failure: ``enumerate`` and ``grow`` print a warning and exit 0.
+(an unreadable or too deeply nested document, an unwritable output path,
+a negative ``--iterations`` or ``--cap``), 3 reserved (growth cannot get
+stuck: every closure has a host for a pair of equal edges), 4 oracle cap
+exceeded.  A closure without a Hamiltonian cycle is not a failure:
+``enumerate`` and ``grow`` print a warning and exit 0.  ``check`` tests
+both conjectures against one oracle enumeration of the covers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
 from .closure import cover_closure
@@ -28,15 +28,12 @@ from .oracles import (
 )
 from .serialize import (
     canonical_json,
-    cycles_from_json,
     load_map,
     map_to_document,
     to_dot,
     trace_documents,
     write_trace,
 )
-
-CAP_ENV_VAR = "CCG_ORACLE_CAP"
 
 
 class _CliFailure(Exception):
@@ -46,9 +43,11 @@ class _CliFailure(Exception):
 
 
 def _load(args):
+    """The one reader of outside JSON: any failure to read or parse the map
+    document, deep nesting included, exits 2."""
     try:
         return load_map(args.input)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _CliFailure(2, f"cannot read map document: {exc}") from exc
 
 
@@ -75,21 +74,6 @@ def _write(path, text: str = "", steps=None) -> None:
                 fh.write(text)
     except OSError as exc:
         raise _CliFailure(2, f"cannot write {path}: {exc}") from exc
-
-
-def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        cap, source = args.cap, "--cap"
-    else:
-        env = os.environ.get(CAP_ENV_VAR)
-        try:
-            cap = int(env) if env else DEFAULT_ORACLE_CAP
-        except ValueError:
-            raise _CliFailure(2, f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-        source = CAP_ENV_VAR
-    if cap < 0:
-        raise _CliFailure(2, f"{source} must be >= 0, got {cap}")
-    return cap
 
 
 def cmd_validate(args) -> int:
@@ -144,24 +128,14 @@ def cmd_grow(args) -> int:
 
 def cmd_check(args) -> int:
     m, cycles = _load_valid(args, seeded=True)
+    if args.cap < 0:
+        raise _CliFailure(2, f"--cap must be >= 0, got {args.cap}")
     # one oracle enumeration serves both conjectures; its cap check (exit 4)
-    # comes before the cover check (exit 1) and the covers file (exit 2)
-    oracle = all_even_cycle_covers(m, _resolve_cap(args))
-    cover = check_cover(m, cycles)
-    injected = None
-    if args.covers:
-        try:
-            with open(args.covers, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, list):
-                raise ValueError("covers file must be a list of covers")
-            covers = [cycles_from_json(c) for c in doc]
-        except (OSError, ValueError) as exc:
-            raise _CliFailure(2, f"cannot read covers file: {exc}") from exc
-        injected = tuple(check_cover(m, c) for c in covers)
+    # comes before the cover check (exit 1)
+    oracle = all_even_cycle_covers(m, args.cap)
     reports = [
-        compare_cover_sets(m, cover_closure(m, cover), oracle),
-        check_shared_cycle(m, covers=oracle if injected is None else injected),
+        compare_cover_sets(m, cover_closure(m, check_cover(m, cycles)), oracle),
+        check_shared_cycle(m, covers=oracle),
     ]
     for rep in reports:
         print(f"conjecture {rep.conjecture}: {rep.verdict}")
@@ -212,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write a JSON-lines growth trace here")
 
     p = add("check", cmd_check, "machine-check both conjectures against the oracles")
-    p.add_argument("--cap", type=int, help=f"oracle edge cap (default {DEFAULT_ORACLE_CAP}, env {CAP_ENV_VAR})")
-    p.add_argument("--covers", help="JSON cover list overriding the oracle (regression use)")
+    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
+                   help=f"oracle edge cap (default {DEFAULT_ORACLE_CAP})")
     p.add_argument("--out", help="write the refuted conjectures' witnesses here "
                    "(default conjecture_witnesses.json)")
 

@@ -184,16 +184,6 @@ def rewrite_cover(cover: Cover, event: InsertionEvent, new_map: CubicMap) -> Cov
     return decompose_two_factor(new_map, on)
 
 
-def face_pairs(m: CubicMap):
-    """Every (face, edge, edge) with both edges on the face, unordered,
-    equal pairs included."""
-    for face in m.face_ids:
-        edges = m.face_edges[face]
-        for i, a in enumerate(edges):
-            for b in edges[i:]:
-                yield face, a, b
-
-
 def growth_step(m: CubicMap, cover: Cover, event: InsertionEvent | None = None) -> GrowthStep:
     """The per-map work of growth: the closure of ``cover`` on ``m``, its
     labellings and its Hamiltonian subset.  A map without a Hamiltonian

@@ -36,7 +36,6 @@ from typing import Iterable
 
 from .closure import cover_closure
 from .errors import CapExceeded, NotTwoRegular
-from .growth import face_pairs
 from .incidence import Cover, CubicMap, canonical_cover, edge_mask, walk_cycles
 from .labelling import Labelling, canonical_labelling
 from .serialize import map_fingerprint
@@ -219,6 +218,16 @@ def check_closure_completeness(
 ) -> ConjectureReport:
     """Conjecture 1: the closure of any one cover is every even cycle cover."""
     return compare_cover_sets(m, cover_closure(m, seed), all_even_cycle_covers(m, cap))
+
+
+def face_pairs(m: CubicMap):
+    """Every (face, edge, edge) with both edges on the face, unordered,
+    equal pairs included."""
+    for face in m.face_ids:
+        edges = m.face_edges[face]
+        for i, a in enumerate(edges):
+            for b in edges[i:]:
+                yield face, a, b
 
 
 def check_shared_cycle(

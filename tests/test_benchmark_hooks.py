@@ -4,25 +4,30 @@ traced benchmark run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import cubicmaps.cli as cli
 import cubicmaps.fourcolour as fourcolour
 import cubicmaps.growth as growth
 import cubicmaps.oracles as oracles
 from cubicmaps.fixtures import cube_map, cube_seed, theta_map, theta_seed
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench(name):
+    """Load ``perfbench/<name>.py``, registered before it runs so that its
+    dataclasses can find their module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_resolve():
-    traced = _tracing().TRACED
+    traced = _perfbench("tracing").TRACED
     assert traced
     for module_name, func_name, _ in traced:
         module = importlib.import_module(f"cubicmaps.{module_name}")
@@ -34,7 +39,7 @@ def test_grow_call_counts():
     # labelling and Hamiltonian filter per map, one insertion, rewrite and
     # compatible-cover draw per step, every draw accepted.  ``grow`` is
     # called through its module, whose attribute the tracer patches.
-    with _tracing().Tracer() as tracer:
+    with _perfbench("tracing").Tracer() as tracer:
         growth.grow(cube_map(), cube_seed(), 20, 42)
     per_fn, counters = tracer.take()
     calls = {name: rec["calls"] for name, rec in per_fn.items()}
@@ -46,6 +51,23 @@ def test_grow_call_counts():
     assert counters["growth.draws"] == counters["growth.insertions"] == 20
 
 
+def test_grow_cube_cli_call_counts(tmp_path):
+    # The traced grow_cube pass enters through ``cli.main``: every call count
+    # of its expected-call contract holds on that path, and the trace byte
+    # counter reads the path that ``write_trace`` was given.
+    workload = _perfbench("workloads").GrowCube(
+        {"pool": [42], "warmup": 42, "iterations": 3, "trace_sha256": {}}, tmp_path)
+    trace = tmp_path / "trace.jsonl"
+    argv = ["grow", "--input", workload.cube_path, "--iterations", str(workload.iterations),
+            "--seed", "42", "--trace", str(trace)]
+    with _perfbench("tracing").Tracer() as tracer:
+        assert cli.main(argv) == 0
+    per_fn, counters = tracer.take()
+    for name, calls in workload.expected_calls().items():
+        assert per_fn[name]["calls"] == calls, name
+    assert counters["serialize.bytes"] == trace.stat().st_size
+
+
 def test_corpus_call_counts():
     # The corpus path's contract for one theta run: one matching enumeration
     # per even-cover enumeration, and no 2-factor decomposition or
@@ -53,7 +75,7 @@ def test_corpus_call_counts():
     # Library calls go through their modules, whose attributes the tracer
     # patches.
     insertions = 14
-    with _tracing().Tracer() as tracer:
+    with _perfbench("tracing").Tracer() as tracer:
         steps = growth.grow(theta_map(), theta_seed(), insertions, 11)
         labellings = 0
         for st in steps:

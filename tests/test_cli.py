@@ -135,32 +135,6 @@ def test_check_refutes_on_counterexample(tmp_path, capsys):
     assert reports[0]["witness"]["missing_from_closure"]
 
 
-def test_check_planted_covers_refute_conjecture_two(theta_file, tmp_path, capsys):
-    covers = tmp_path / "covers.json"
-    shutil.copy(fixture_path("theta_planted_covers.json"), covers)
-    witness = tmp_path / "w.json"
-    rc = main(
-        ["check", "--input", theta_file, "--covers", str(covers),
-         "--out", str(witness)]
-    )
-    assert rc == 1
-    assert "conjecture 2: refuted" in capsys.readouterr().out
-    assert witness.exists()
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["[5]", '{"a": 1}', '[[["1", 2]]]', "[[[1.0, 2.0]]]", "[[[true, 2]]]"],
-    ids=["integer_cover", "object", "string_id", "float_ids", "bool_id"],
-)
-def test_check_malformed_covers_file(theta_file, tmp_path, text):
-    # the covers file is a list of covers, each a list of cycles, each a
-    # list of JSON integers, like a map document's cycles
-    covers = tmp_path / "covers.json"
-    covers.write_text(text)
-    assert main(["check", "--input", theta_file, "--covers", str(covers)]) == 2
-
-
 def test_check_cap_exceeded(tmp_path):
     import random
 
@@ -172,26 +146,25 @@ def test_check_cap_exceeded(tmp_path):
     assert main(["check", "--input", str(path)]) == 4
 
 
-def test_check_cap_env_override(tmp_path, monkeypatch, theta_file, capsys):
-    monkeypatch.setenv("CCG_ORACLE_CAP", "2")
-    assert main(["check", "--input", theta_file]) == 4
-    monkeypatch.setenv("CCG_ORACLE_CAP", "45")
-    assert main(["check", "--input", theta_file]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("CCG_ORACLE_CAP", "abc")
-    assert main(["check", "--input", theta_file]) == 2
-    out, err = capsys.readouterr()
-    assert "CCG_ORACLE_CAP" in err
-    assert "Traceback" not in out + err
-
-
-def test_check_rejects_negative_cap(theta_file, monkeypatch, capsys):
+def test_check_rejects_negative_cap(theta_file, capsys):
     assert main(["check", "--input", theta_file, "--cap", "-3"]) == 2
     assert "--cap" in capsys.readouterr().err
-    monkeypatch.setenv("CCG_ORACLE_CAP", "-1")
-    assert main(["check", "--input", theta_file]) == 2
-    assert "CCG_ORACLE_CAP" in capsys.readouterr().err
     assert main(["check", "--input", theta_file, "--cap", "0"]) == 4
+
+
+def test_check_covers_is_unknown(theta_file, tmp_path):
+    # conjecture 2 is checked against the oracle covers only
+    covers = tmp_path / "covers.json"
+    covers.write_text("[]")
+    with pytest.raises(SystemExit) as caught:
+        main(["check", "--input", theta_file, "--covers", str(covers)])
+    assert caught.value.code == 2
+
+
+def test_check_cap_ignores_the_environment(theta_file, monkeypatch):
+    # --cap is the cap's one source: the environment cannot lower it
+    monkeypatch.setenv("CCG_ORACLE_CAP", "2")
+    assert main(["check", "--input", theta_file]) == 0
 
 
 def test_check_enumerates_the_oracle_covers_once(cube_file, monkeypatch):
@@ -378,3 +351,24 @@ def test_mutated_documents_keep_exit_code_contract(name, tmp_path, monkeypatch, 
     got = tuple(main([*command, "--input", str(path)]) for command in COMMANDS)
     assert got == MUTATIONS[name][1]
     assert "Traceback" not in "".join(capsys.readouterr())
+
+
+# ``json.dumps`` of a value this deep recurses too, so the text is written directly
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _deep_cycles_cube():
+    doc = json.loads(fixture_path("cube.json").read_text())
+    doc["cycles"] = "deep"
+    return json.dumps(doc).replace('"deep"', DEEP)
+
+
+@pytest.mark.parametrize("text", [lambda: DEEP, _deep_cycles_cube], ids=["document", "cycles"])
+def test_deeply_nested_documents_exit_2(text, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text())
+    monkeypatch.chdir(tmp_path)
+    assert [main([*command, "--input", str(path)]) for command in COMMANDS] == [2] * len(COMMANDS)
+    out, err = capsys.readouterr()
+    assert err.count("cannot read map document") == len(COMMANDS)
+    assert "Traceback" not in out + err

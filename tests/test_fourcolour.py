@@ -172,6 +172,16 @@ def test_blow_up_wheel(degree):
     assert OUTER in mapping.face_to_new
 
 
+def test_tetrahedron_rotation_is_the_bundled_tetrahedron():
+    # the rotation restates tetrahedron.json as a rotation system: the same
+    # edge ends, and the same faces, the outer one being the external edges
+    m = tetrahedron_map()
+    rmap = tetrahedron_rotation()
+    assert rmap.endpoints == m.edge_vertices
+    faces = [*m.face_edges.values(), tuple(sorted(m.external_edges))]
+    assert sorted(blow_up(rmap)[1].original_faces.values()) == sorted(faces)
+
+
 def test_blow_up_of_cubic_map_makes_triangles():
     rmap = tetrahedron_rotation()
     cubic, mapping = blow_up(rmap)

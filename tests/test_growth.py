@@ -19,7 +19,7 @@ from cubicmaps import (
     validate_map,
 )
 from cubicmaps.fixtures import cube_map, cube_seed, tetrahedron_map, theta_map, theta_seed
-from cubicmaps.growth import face_pairs
+from cubicmaps.oracles import face_pairs
 from cubicmaps.serialize import canonical_json, map_to_document, trace_documents
 
 from conftest import random_insertion_walk

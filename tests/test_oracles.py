@@ -30,8 +30,8 @@ from cubicmaps.fixtures import (
     tetrahedron_seed,
     theta_map,
 )
-from cubicmaps.growth import face_pairs
 from cubicmaps.labelling import canonical_labelling
+from cubicmaps.oracles import face_pairs
 from cubicmaps.serialize import load_map
 
 from conftest import random_insertion_walk, reference_maps
