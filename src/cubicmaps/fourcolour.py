@@ -87,7 +87,9 @@ class RotationMap:
 def validate_rotation(rmap: RotationMap) -> None:
     """Raise InvalidRotation unless every row is a tuple or list, every id is a
     positive int, and the rotation system is a connected loop-free map with
-    every vertex of degree >= 3."""
+    at least one vertex and every vertex of degree >= 3."""
+    if not rmap.rotations:
+        raise InvalidRotation("rotation map has no vertices")
     rows = (*rmap.rotations.values(), *rmap.endpoints.values())
     for row in rows:
         if not isinstance(row, (tuple, list)):

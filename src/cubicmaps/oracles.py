@@ -43,13 +43,12 @@ from .serialize import map_fingerprint
 DEFAULT_ORACLE_CAP = 45
 
 
-def _check_cap(m: CubicMap, cap: int | None) -> None:
-    cap = DEFAULT_ORACLE_CAP if cap is None else cap
+def _check_cap(m: CubicMap, cap: int) -> None:
     if m.n_edges > cap:
         raise CapExceeded(f"map has {m.n_edges} edges, oracle cap is {cap}")
 
 
-def all_perfect_matchings(m: CubicMap, cap: int | None = None) -> tuple[frozenset[int], ...]:
+def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[frozenset[int], ...]:
     """Every edge set covering each vertex exactly once, sorted by their
     sorted edges.
 
@@ -92,7 +91,7 @@ def _check_cubic(m: CubicMap) -> None:
             raise NotTwoRegular(f"vertex {v} lists edges {list(es)} (expected 3 distinct)")
 
 
-def all_even_cycle_covers(m: CubicMap, cap: int | None = None) -> tuple[Cover, ...]:
+def all_even_cycle_covers(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Cover, ...]:
     """Every spanning set of vertex-disjoint even cycles, canonical-sorted.
 
     After the cap check, one degree check of the map (``_check_cubic``)
@@ -131,7 +130,7 @@ def _breadth_first_edges(m: CubicMap) -> list[int]:
     return order
 
 
-def all_proper_labellings(m: CubicMap, cap: int | None = None) -> tuple[Labelling, ...]:
+def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Labelling, ...]:
     """Every proper 3-edge-labelling up to role permutation, sorted.
 
     Backtracks over the edges in breadth-first order (``_breadth_first_edges``).
@@ -214,7 +213,7 @@ def compare_cover_sets(
 
 
 def check_closure_completeness(
-    m: CubicMap, seed: Cover, cap: int | None = None
+    m: CubicMap, seed: Cover, cap: int = DEFAULT_ORACLE_CAP
 ) -> ConjectureReport:
     """Conjecture 1: the closure of any one cover is every even cycle cover."""
     return compare_cover_sets(m, cover_closure(m, seed), all_even_cycle_covers(m, cap))
@@ -231,7 +230,7 @@ def face_pairs(m: CubicMap):
 
 
 def check_shared_cycle(
-    m: CubicMap, cap: int | None = None, covers: Iterable[Cover] | None = None
+    m: CubicMap, cap: int = DEFAULT_ORACLE_CAP, covers: Iterable[Cover] | None = None
 ) -> ConjectureReport:
     """Conjecture 2: any two edges on a common face lie on a common cycle
     of some cover.

@@ -19,16 +19,6 @@ from cubicmaps.fixtures import cube_map, tetrahedron_map, theta_map, wheel_rotat
 
 from conftest import grown_cube, random_insertion_walk
 
-# the four covers one reselection step produces from the cube's seed:
-# the outer+inner squares, two Hamiltonian cycles, and the other two
-# opposite quad faces
-CUBE_SUCCESSORS = {
-    ((1, 2, 3, 12), (5, 7, 10, 8)),
-    ((1, 2, 6, 7, 10, 8, 4, 12),),
-    ((2, 3, 12, 11, 8, 5, 7, 9),),
-    ((2, 6, 7, 9), (4, 8, 11, 12)),
-}
-
 
 def test_alternating_halves(cube_cover):
     assert alternating_halves((1, 9, 10, 11)) == ({1, 10}, {9, 11})
@@ -57,10 +47,6 @@ def test_half_choices():
     assert vectors == sorted(vectors)
     with pytest.raises(ValueError):
         half_choices(0)
-
-
-def test_cube_successors_snapshot(cube, cube_cover):
-    assert successor_covers(cube, cube_cover) == CUBE_SUCCESSORS
 
 
 def test_theta_successors(theta, theta_cover):
