@@ -1,9 +1,11 @@
 """Tier-1 makes the checks of a traced benchmark run, with the benchmark's
 own workloads, tracer and pins: every pinned output of each workload's pool
 holds, one pass's call counts equal ``expected_calls()``, and a second pass
-repeats the first's calls and counters.  The tracer patches package
-functions by name, so a rename fails ``test_traced_functions_resolve`` by
-name and not only here or in a traced benchmark run."""
+repeats the first's calls and counters.  ``test_grow_call_counts`` adds
+the one growth invariant that contract does not hold.  The tracer patches
+package functions by name, so a rename fails
+``test_traced_functions_resolve`` by name and not only here or in a traced
+benchmark run."""
 
 import importlib
 import importlib.util
@@ -11,6 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cubicmaps.growth as growth
+from cubicmaps.fixtures import cube_map, cube_seed, theta_map, theta_seed
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,8 +53,19 @@ def test_workload_contract(name, tmp_path):
     expected = workload.expected_calls()
     assert {fn: calls.get(fn, 0) for fn in expected} == expected
     assert takes[1] == takes[0]
-    if "growth.grow" in expected:
-        # every draw finds a host, and rewrite_cover makes the only
-        # decomposition: one of each per insertion
+
+
+def test_grow_call_counts():
+    # The one growth invariant that ``expected_calls()`` does not hold: every
+    # draw finds a host, and ``rewrite_cover`` makes the only 2-factor
+    # decomposition, so each insertion makes one of each.  ``grow`` is
+    # called through its module, whose attribute the tracer patches.
+    for m, seed, insertions, rng_seed in ((cube_map(), cube_seed(), 20, 42),
+                                          (theta_map(), theta_seed(), 14, 11)):
+        with _perfbench("tracing").Tracer() as tracer:
+            growth.grow(m, seed, insertions, rng_seed)
+        per_fn, counters = tracer.take()
+        calls = {fn: rec["calls"] for fn, rec in per_fn.items()}
         assert (calls["growth.compatible_cover"] == calls["incidence.decompose_two_factor"]
-                == calls["growth.insert_edge"])
+                == calls["growth.insert_edge"] == counters["growth.draws"]
+                == counters["growth.insertions"] == insertions)
