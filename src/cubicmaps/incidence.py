@@ -42,12 +42,11 @@ class CubicMap:
 
     ``vertex_edges`` and ``face_edges`` give each vertex and internal face
     its id-sorted edges; an edge listed twice, or a matrix entry above 1,
-    stays listed twice, so ``validate_map`` can report it.  The incidence matrices
-    ``vertex_edge`` and ``face_edge`` (rows and columns id-sorted) are
-    read-only uint8 arrays, built and numpy imported on first read.
-    Instances are immutable after construction; every operation that
-    changes the map returns a new instance, so values can be shared freely
-    across threads.
+    stays listed twice, so ``validate_map`` can report it.  These rows are
+    the map: ``matrix_rows()`` builds the two incidence matrices back from
+    them, rows and columns id-sorted.  Instances are immutable after
+    construction; every operation that changes the map returns a new
+    instance, so values can be shared freely across threads.
     """
 
     def __init__(self, vertex_edge, face_edge):
@@ -116,14 +115,6 @@ class CubicMap:
             _incidence_rows(self.vertex_edges, self.edge_ids),
             _incidence_rows(self.face_edges, self._face_columns),
         )
-
-    @cached_property
-    def vertex_edge(self):
-        return _read_only(self.matrix_rows()[0], self.n_edges)
-
-    @cached_property
-    def face_edge(self):
-        return _read_only(self.matrix_rows()[1], len(self._face_columns))
 
     # -- derived adjacency (valid maps only) ---------------------------
 
@@ -243,14 +234,6 @@ def _incidence_rows(members: Members, columns: tuple[int, ...]) -> list[list[int
             row[col[e]] += 1
         rows.append(row)
     return rows
-
-
-def _read_only(rows: list[list[int]], width: int):
-    import numpy as np
-
-    mat = np.array(rows, dtype=np.uint8).reshape(len(rows), width)
-    mat.setflags(write=False)
-    return mat
 
 
 def _transpose(members: Members, ids: tuple[int, ...]) -> Members:

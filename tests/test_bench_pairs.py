@@ -18,11 +18,11 @@ def tool():
     return module
 
 
-def _run(side, pair, wall, ok=1.0, failed=0):
+def _run(side, pair, wall, ok=1.0, failed=0, exit=0):
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "ok_ratio": {"value": ok, "unit": "ratio"}}
     result = {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
     return {"side": side, "workload": "grow_cube", "seed": pair, "pair": pair,
-            "first": "parent", "result": result}
+            "first": "parent", "exit": exit, "result": result}
 
 
 PARENT = [0.50, 0.40, 0.45, 0.48, 0.42]
@@ -61,6 +61,21 @@ def test_failed_runs_are_counted(tool):
     assert summary["ok_ratio"]["change_median"] == 1.0
 
 
+def test_a_run_that_exits_non_zero_is_not_correct(tool):
+    # each run printed a correct result line and then exited 1
+    runs = _runs()
+    runs[5] = _run("change", 1, 0.40, exit=1)
+    summary = tool.summarise(runs, METRICS)["grow_cube"]
+    assert summary["correct"] is False
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["wall_s"]["change_median"] == 0.37
+    traced = {"exit": 1, "correct": True, "failed": 0, "wall_s": 0.4}
+    trace = {"parent": {"grow_cube": {**traced, "exit": 0}}, "change": {"grow_cube": traced}}
+    assert tool.summarise(_runs(), METRICS, trace)["grow_cube"]["correct"] is False
+    trace["change"]["grow_cube"]["exit"] = 0
+    assert tool.summarise(_runs(), METRICS, trace)["grow_cube"]["correct"] is True
+
+
 def test_claim_needs_nine_in_ten_pairs_and_a_gap_beyond_the_parent_iqr(tool):
     summary = tool.summarise(_runs(), METRICS)
     claim = tool.judge_claim(summary, "grow_cube.wall_s", METRICS)
@@ -85,7 +100,9 @@ def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch)
         calls.append((side, workload, seed, trace))
         wall = 0.5 if side == "parent" else 0.4
         metrics = {"wall_s": {"value": wall, "unit": "s"}}
-        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+        # the change side's traced insert_walk run prints its line, then exits 1
+        code = int((side, workload, trace) == ("change", "insert_walk", 1))
+        return code, {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(tool, "export_tree", lambda rev, dest: "0" * 40)
     monkeypatch.setattr(tool, "copy_working_tree", lambda dest: None)
@@ -100,5 +117,10 @@ def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch)
     assert len(doc["runs"]) == len(untraced) == 2 * 2 * len(tool.WORKLOADS)
     assert [c for c in calls if c[3] == 1] == [
         (side, w, tool.TRACE_SEED, 1) for side in ("parent", "change") for w in tool.WORKLOADS]
-    assert doc["trace"]["change"]["grow_cube"] == {"wall_s": 0.4}
+    assert {run["exit"] for run in doc["runs"]} == {0}
+    assert doc["trace"]["change"]["grow_cube"] == {
+        "exit": 0, "correct": True, "failed": 0, "wall_s": 0.4}
+    assert doc["trace"]["change"]["insert_walk"]["exit"] == 1
+    assert {w: s["correct"] for w, s in doc["summary"].items()} == {
+        "grow_cube": True, "corpus_check": True, "insert_walk": False}
     assert doc["claim"]["pairs_won"] == 2 and doc["summary"]["insert_walk"]["pairs"] == 2

@@ -15,7 +15,7 @@ from cubicmaps import (
     off_edges,
     successor_covers,
 )
-from cubicmaps.fixtures import cube_map, tetrahedron_map, theta_map, wheel_rotation
+from cubicmaps.fixtures import cube_map, theta_map, wheel_rotation
 
 from conftest import grown_cube, random_insertion_walk
 
@@ -127,7 +127,6 @@ INVALID_COVERS = {
     "unknown_edge_id": ("cube", ((1, 9, 10, 11), (3, 4, 5, 42))),
     "open_path": ("cube", ((1, 9, 10), (3, 4, 5, 6))),
     "disconnected_cycle": ("cube", ((1, 9, 10, 11, 3, 4, 5, 6),)),
-    "odd_cycle": ("tetrahedron", ((1, 2, 3),)),
     "cycles_share_an_edge": ("cube", ((1, 2, 3, 12), (5, 7, 10, 8), (1, 9, 10, 11))),
     "cycles_share_an_edge_and_both_vertices": ("theta", ((1, 2), (2, 3))),
     "same_cycle_twice": ("cube", ((1, 9, 10, 11), (1, 9, 10, 11), (3, 4, 5, 6))),
@@ -143,7 +142,6 @@ INVALID_COVERS = {
 MAPS = {
     "cube": cube_map,
     "theta": theta_map,
-    "tetrahedron": tetrahedron_map,
     "wheel3_blow_up": lambda: blow_up(wheel_rotation(3))[0],
 }
 

@@ -1,15 +1,12 @@
+import ast
 import importlib
 import inspect
-import os
 import pkgutil
 import random
-import subprocess
 import sys
-import textwrap
 import typing
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cubicmaps
@@ -42,18 +39,18 @@ def test_fixture_maps_are_valid(cube, theta):
 
 
 def test_single_bit_corruption_is_reported(cube):
-    ve = np.array(cube.vertex_edge)
-    ve[0, 0] = 0  # vertex 1 loses edge 1
-    report = validate_map(CubicMap(ve, cube.face_edge))
+    ve, fe = cube.matrix_rows()
+    ve[0][0] = 0  # vertex 1 loses edge 1
+    report = validate_map(CubicMap(ve, fe))
     assert any("vertex row 1 has 2 ones" in line for line in report)
     assert any("edge column 1 has 1 ones" in line for line in report)
 
 
 def test_non_binary_entries_are_reported(theta):
     for entry in (2, 255):
-        ve = np.array(theta.vertex_edge)
-        ve[0, 0] = entry
-        m = CubicMap(ve, theta.face_edge)
+        ve, fe = theta.matrix_rows()
+        ve[0][0] = entry
+        m = CubicMap(ve, fe)
         assert validate_map(m) == ["vertex-edge matrix has entries outside {0,1}"]
         assert m.vertex_edges[1] == (1, 1, 2, 3)  # listed twice, whatever the entry
 
@@ -71,7 +68,8 @@ def test_euler_check(cube, theta):
     # theta: 2 - 3 + (2 + 1) = 2; cube: 8 - 12 + (5 + 1) = 2
     assert euler_check(theta)
     assert euler_check(cube)
-    dropped = CubicMap(cube.vertex_edge, cube.face_edge[:-1])
+    ve, fe = cube.matrix_rows()
+    dropped = CubicMap(ve, fe[:-1])
     assert not euler_check(dropped)
     assert validate_map(dropped) != []
 
@@ -160,9 +158,9 @@ def test_face_boundary_bigon(theta):
 
 
 def test_face_boundary_stray_one_is_malformed(cube):
-    fe = np.array(cube.face_edge)
-    fe[0, 0] = 1  # inner square face claims outer edge 1
-    broken = CubicMap(cube.vertex_edge, fe)
+    ve, fe = cube.matrix_rows()
+    fe[0][0] = 1  # inner square face claims outer edge 1
+    broken = CubicMap(ve, fe)
     with pytest.raises(MalformedFace):
         face_boundary(broken, 1)
     assert any("face 1" in line for line in validate_map(broken))
@@ -283,8 +281,9 @@ def test_matrix_shape_properties_on_grown_maps():
     for start in (theta_map(), ):
         m, _ = random_insertion_walk(start, 12, rng)
         assert validate_map(m) == []
-        assert m.vertex_edge.sum(axis=1).tolist() == [3] * m.n_vertices
-        assert m.vertex_edge.sum(axis=0).tolist() == [2] * m.n_edges
+        ve, _ = m.matrix_rows()
+        assert [sum(row) for row in ve] == [3] * m.n_vertices
+        assert [sum(col) for col in zip(*ve)] == [2] * m.n_edges
 
 
 def test_decompose_partition_property():
@@ -308,50 +307,25 @@ def test_decompose_partition_property():
 def test_loops_cannot_be_expressed():
     # a loop would need a column summing to 2 in one row; with 0/1 entries
     # the closest encodings are caught by validation
-    ve = np.array([[1, 1, 1], [1, 1, 1]], dtype=np.uint8)
-    ve[0, 0] = 1
-    ve[1, 0] = 0  # edge 1 now has a single endpoint
+    ve = [[1, 1, 1], [0, 1, 1]]  # edge 1 now has a single endpoint
     assert any("edge column 1" in line for line in validate_map(CubicMap(ve, [[1, 1, 0], [0, 1, 1]])))
 
 
-def test_core_runs_without_numpy(tmp_path):
-    """Import, growth, validation, serialisation, blow-up and the CLI leave
-    numpy unimported; the matrix views import it on first read."""
-    script = textwrap.dedent(
-        f"""
-        import json, sys
-        import cubicmaps
-        from cubicmaps import cli, fixtures, growth
-        from cubicmaps.fourcolour import blow_up
-        from cubicmaps.serialize import map_fingerprint, map_to_document, write_trace
-
-        steps = growth.grow(fixtures.cube_map(), fixtures.cube_seed(), 3, 7)
-        m = steps[-1].map
-        assert cubicmaps.validate_map(m) == []
-        map_fingerprint(m)
-        write_trace(steps, {str(tmp_path / "trace.jsonl")!r})
-        blow_up(fixtures.wheel_rotation(5))
-        path = {str(tmp_path / "m.json")!r}
-        with open(path, "w") as fh:
-            json.dump(map_to_document(m), fh)
-        assert cli.main(["validate", "--input", path]) == 0
-        assert "numpy" not in sys.modules, "numpy imported"
-
-        import numpy as np
-        doc = map_to_document(m)
-        for view, rows in ((m.vertex_edge, doc["vertex_edge"]), (m.face_edge, doc["face_edge"])):
-            assert isinstance(view, np.ndarray) and view.dtype == np.uint8
-            assert not view.flags.writeable
-            assert view.tolist() == rows
-        """
-    )
-    src = str(Path(cubicmaps.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in the package, at module level or inside a
+    function, names a standard-library module."""
+    package = Path(cubicmaps.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.relative_to(package)} imports {top}"
 
 
 def _defined_callables(module):

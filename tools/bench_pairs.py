@@ -15,10 +15,13 @@ from its own tree, one run at a time; odd pairs run the parent first, even
 pairs the change.  Each side then makes one traced run per workload
 (``--seed 3 --seconds 15 --trace 1``) for the per-layer metrics.
 
-The output keeps every run's result line (the last line ``perfbench/run.py``
-prints) and a summary per workload and end-to-end metric: medians,
-interquartile ranges (``statistics.quantiles``, exclusive method), ranges
-and the number of pairs in which the change was better.  It is rewritten
+The output keeps every run's exit code and result line (the last line
+``perfbench/run.py`` prints), each traced run's exit code, ``correct`` and
+``failed`` next to its metrics, and a summary per workload and end-to-end
+metric: medians, interquartile ranges (``statistics.quantiles``, exclusive
+method), ranges and the number of pairs in which the change was better.
+A workload's summary is ``correct`` only if every run of it, paired or
+traced, exited 0 and reported ``correct: true``.  The file is rewritten
 after every run, so an interrupted run keeps what it measured.
 """
 
@@ -68,28 +71,41 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run from ``tree``: its result line, or an
-    ``error`` entry when it printed none."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[int, dict]:
+    """One ``perfbench/run.py`` run from ``tree``: its exit code, and its
+    result line or an ``error`` entry when it printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        return proc.returncode, json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
+        return proc.returncode, {"error": proc.stderr.strip()[-2000:]}
+
+
+def traced_entry(exit_code: int, result: dict) -> dict:
+    """A traced run as the output keeps it: its exit code, ``correct`` and
+    ``failed``, then each metric's value (or the ``error`` entry)."""
+    metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
+    return {"exit": exit_code, "correct": result.get("correct"), "failed": result.get("failed"),
+            **(metrics or {"error": result.get("error")})}
+
+
+def _passed(exit_code: int, result: dict) -> bool:
+    return exit_code == 0 and result.get("correct") is True
 
 
 def _value(run: dict, metric: str):
     return run["result"].get("metrics", {}).get(metric, {}).get("value")
 
 
-def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+def summarise(runs: list[dict], metrics: list[dict], trace: dict | None = None) -> dict:
     """Per workload: the pair count, and per end-to-end metric the medians,
     the interquartile ranges, the ranges and the pairs the change won.
     ``metrics`` are BENCHMARK.json ``end_to_end`` entries (``name`` and
-    ``better``)."""
+    ``better``); ``trace`` maps side -> workload -> traced entry."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -116,8 +132,11 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             entry[name] = stats
         entry["failed"] = {side: sum(p[side]["result"].get("failed", 0) for p in complete)
                            for side in ("parent", "change")}
-        entry["correct"] = all(p[side]["result"].get("correct") is True
-                               for p in complete for side in ("parent", "change"))
+        traced = [trace[side][workload] for side in ("parent", "change")
+                  if workload in (trace or {}).get(side, {})]
+        entry["correct"] = (
+            all(_passed(run["exit"], run["result"]) for run in runs if run["workload"] == workload)
+            and all(_passed(t["exit"], t) for t in traced))
         summary[workload] = entry
     return summary
 
@@ -175,7 +194,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
 
         def save():
-            doc["summary"] = summarise(doc["runs"], metrics)
+            doc["summary"] = summarise(doc["runs"], metrics, doc["trace"])
             if args.claim:
                 doc["claim"] = judge_claim(doc["summary"], args.claim, metrics)
             out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -184,9 +203,10 @@ def main(argv=None) -> int:
             for pair in range(1, args.pairs + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    result = run_once(trees[side], workload, pair, SECONDS, 0)
+                    code, result = run_once(trees[side], workload, pair, SECONDS, 0)
                     doc["runs"].append({"side": side, "workload": workload, "seed": pair,
-                                        "pair": pair, "first": order[0], "result": result})
+                                        "pair": pair, "first": order[0], "exit": code,
+                                        "result": result})
                     print(f"{workload} pair {pair} {side}: "
                           f"wall_s {result.get('metrics', {}).get('wall_s', {}).get('value')}",
                           flush=True)
@@ -199,10 +219,8 @@ def main(argv=None) -> int:
         for side in ("parent", "change"):
             doc["trace"][side] = {}
             for workload in WORKLOADS:
-                result = run_once(trees[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
-                doc["trace"][side][workload] = {
-                    name: m["value"] for name, m in result.get("metrics", {}).items()
-                } or result
+                code, result = run_once(trees[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
+                doc["trace"][side][workload] = traced_entry(code, result)
                 save()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
