@@ -30,7 +30,6 @@ from .fourcolour import (
     BlowUpMapping,
     RotationMap,
     blow_up,
-    dual_adjacency,
     face_colouring_from_labelling,
     pull_back_colouring,
     validate_face_colouring,

@@ -27,12 +27,6 @@ _CLASS_FLIPS = (0b10, 0b01, 0b11)
 FaceColouring = dict[FaceKey, str]
 
 
-def dual_adjacency(m: CubicMap) -> dict[int, tuple[FaceKey, FaceKey]]:
-    """Edge id -> the two faces it separates (external edges pair their
-    internal face with the outer face); a copy of ``m.dual_edges``."""
-    return dict(m.dual_edges)
-
-
 def face_colouring_from_labelling(m: CubicMap, lab) -> FaceColouring:
     """Propagate sign-pair colours over the dual from the outer face.
 

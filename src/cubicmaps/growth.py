@@ -95,10 +95,14 @@ def insert_edge(
     for e in (e1, e2):
         if e not in walk_edges:
             raise EdgeNotOnFace(f"edge {e} not on face {face}")
-    x = m.next_ids.vertex
+    # every constructor keeps the id registries sorted, so one past the
+    # last entry of each is a fresh id (the walk found the face, so none
+    # of them is empty)
+    x = m.vertex_ids[-1] + 1
     y = x + 1
-    new_face = m.next_ids.face
-    fresh = count(m.next_ids.edge)
+    new_face = m.face_ids[-1] + 1
+    first_edge = m.edge_ids[-1] + 1
+    fresh = count(first_edge)
     segments = 3 if e1 == e2 else 2
     split = {e: tuple(islice(fresh, segments)) for e in dict.fromkeys((e1, e2))}
     g = next(fresh)
@@ -134,7 +138,7 @@ def insert_edge(
     new_map = CubicMap._from_rows(
         _with_rows(m.vertex_edges, vertex_sets),
         _with_rows(m.face_edges, face_sets),
-        tuple(e for e in m.edge_ids if e not in split) + tuple(range(m.next_ids.edge, g + 1)),
+        tuple(e for e in m.edge_ids if e not in split) + tuple(range(first_edge, g + 1)),
     )
     event = InsertionEvent(
         face=face,

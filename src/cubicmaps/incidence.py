@@ -13,7 +13,6 @@ never endpoint based, so parallel edges never collide.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -28,15 +27,6 @@ FaceKey = int | str
 OUTER = "outer"
 
 
-@dataclass(frozen=True)
-class NextIds:
-    """Counters for fresh vertex/edge/face ids."""
-
-    vertex: int
-    edge: int
-    face: int
-
-
 class CubicMap:
     """A cubic planar map with opaque positive integer ids.
 
@@ -44,9 +34,11 @@ class CubicMap:
     its id-sorted edges; an edge listed twice, or a matrix entry above 1,
     stays listed twice, so ``validate_map`` can report it.  These rows are
     the map: ``matrix_rows()`` builds the two incidence matrices back from
-    them, rows and columns id-sorted.  Instances are immutable after
-    construction; every operation that changes the map returns a new
-    instance, so values can be shared freely across threads.
+    them, rows and columns id-sorted.  Every constructor keeps the id
+    registries ``vertex_ids``, ``edge_ids`` and ``face_ids`` sorted.
+    Instances are immutable after construction; every operation that
+    changes the map returns a new instance, so values can be shared freely
+    across threads.
     """
 
     def __init__(self, vertex_edge, face_edge):
@@ -89,9 +81,6 @@ class CubicMap:
         self.vertex_ids, self.face_ids = tuple(vertex_edges), tuple(face_edges)
         self.edge_ids = edge_ids
         self._face_columns = face_columns  # edge ids of the face-edge columns
-        self.next_ids = NextIds(
-            *(max(ids, default=0) + 1 for ids in (self.vertex_ids, edge_ids, self.face_ids))
-        )
 
     # -- sizes ---------------------------------------------------------
 
@@ -131,11 +120,6 @@ class CubicMap:
             if len(vs) != 2 or vs[0] == vs[1]:
                 raise NotTwoRegular(f"edge {e} has ends {list(vs)} (expected 2 distinct)")
         return self._edge_ends
-
-    @cached_property
-    def face_edge_sets(self) -> dict[int, frozenset[int]]:
-        """Internal face id -> the set of edges on its boundary."""
-        return {f: frozenset(es) for f, es in self.face_edges.items()}
 
     @cached_property
     def edge_internal_faces(self) -> dict[int, tuple[int, ...]]:

@@ -212,11 +212,9 @@ def compare_cover_sets(
     return ConjectureReport(1, map_fingerprint(m), "refuted", witness)
 
 
-def check_closure_completeness(
-    m: CubicMap, seed: Cover, cap: int = DEFAULT_ORACLE_CAP
-) -> ConjectureReport:
+def check_closure_completeness(m: CubicMap, seed: Cover) -> ConjectureReport:
     """Conjecture 1: the closure of any one cover is every even cycle cover."""
-    return compare_cover_sets(m, cover_closure(m, seed), all_even_cycle_covers(m, cap))
+    return compare_cover_sets(m, cover_closure(m, seed), all_even_cycle_covers(m))
 
 
 def face_pairs(m: CubicMap):
@@ -229,20 +227,16 @@ def face_pairs(m: CubicMap):
                 yield face, a, b
 
 
-def check_shared_cycle(
-    m: CubicMap, cap: int = DEFAULT_ORACLE_CAP, covers: Iterable[Cover] | None = None
-) -> ConjectureReport:
-    """Conjecture 2: any two edges on a common face lie on a common cycle
-    of some cover.
+def check_shared_cycle(m: CubicMap, covers: Iterable[Cover]) -> ConjectureReport:
+    """Conjecture 2 on the given covers: any two edges on a common face lie
+    on a common cycle of one of them.
 
-    ``covers`` defaults to the oracle enumeration; passing a truncated set
-    exercises the refutation path.  Each (cover, cycle) slot is one bit,
-    and each edge gets the mask of the slots that hold it, so a pair
-    shares a cycle iff its two masks meet.  The witness is the first
-    failing pair in ``face_pairs`` order.
+    The check judges only the covers it is handed; the conjecture itself
+    is decided on ``all_even_cycle_covers(m)``.  Each (cover, cycle) slot
+    is one bit, and each edge gets the mask of the slots that hold it, so
+    a pair shares a cycle iff its two masks meet.  The witness is the
+    first failing pair in ``face_pairs`` order.
     """
-    if covers is None:
-        covers = all_even_cycle_covers(m, cap)
     slots: dict[int, int] = {}
     bit = 1
     for cover in covers:

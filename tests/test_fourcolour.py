@@ -11,7 +11,6 @@ from cubicmaps import (
     RotationMap,
     all_proper_labellings,
     blow_up,
-    dual_adjacency,
     euler_check,
     face_colouring_from_labelling,
     pull_back_colouring,
@@ -35,17 +34,17 @@ REFERENCE_MAPS = reference_maps()
 
 
 def test_dual_adjacency_cube(cube):
-    dual = dual_adjacency(cube)
+    dual = cube.dual_edges
     external = [e for e, pair in dual.items() if OUTER in pair]
     assert sorted(external) == [1, 2, 3, 12]
     for e, pair in dual.items():
         if OUTER not in pair:
-            assert len(cube.face_edge_sets[pair[0]]) == 4
-            assert len(cube.face_edge_sets[pair[1]]) == 4
+            assert len(cube.face_edges[pair[0]]) == 4
+            assert len(cube.face_edges[pair[1]]) == 4
 
 
 def test_dual_adjacency_theta(theta):
-    assert dual_adjacency(theta) == {1: (1, OUTER), 2: (1, 2), 3: (2, OUTER)}
+    assert theta.dual_edges == {1: (1, OUTER), 2: (1, 2), 3: (2, OUTER)}
 
 
 def test_tetrahedron_colouring():
@@ -165,7 +164,7 @@ def test_blow_up_wheel(degree):
     assert cubic.n_edges == len(rmap.endpoints) + cubic.n_vertices
     # the hub becomes a face bounded by `degree` ring edges
     hub_face = mapping.vertex_ring_face[degree + 1]
-    assert len(cubic.face_edge_sets[hub_face]) == degree
+    assert len(cubic.face_edges[hub_face]) == degree
     assert set(mapping.face_to_new) == set(mapping.original_faces)
     assert OUTER in mapping.face_to_new
 
@@ -188,7 +187,7 @@ def test_blow_up_of_cubic_map_makes_triangles():
     assert validate_map(cubic) == []
     for v in rmap.rotations:
         ring = mapping.vertex_ring_face[v]
-        assert len(cubic.face_edge_sets[ring]) == 3
+        assert len(cubic.face_edges[ring]) == 3
 
 
 @pytest.mark.parametrize("degree", [4, 5])

@@ -5,6 +5,7 @@ import pytest
 
 import cubicmaps.growth as growth
 from cubicmaps import (
+    CubicMap,
     EdgeNotOnFace,
     IncompatibleCover,
     MalformedFace,
@@ -22,7 +23,7 @@ from cubicmaps.fixtures import cube_map, cube_seed, tetrahedron_map, theta_map, 
 from cubicmaps.oracles import face_pairs
 from cubicmaps.serialize import canonical_json, map_to_document, trace_documents
 
-from conftest import random_insertion_walk
+from conftest import random_insertion_walk, reference_maps
 
 
 def test_choose_insertion_is_deterministic(cube):
@@ -31,13 +32,13 @@ def test_choose_insertion_is_deterministic(cube):
     assert a == b
     face, e1, e2 = a
     assert face in cube.face_ids
-    assert {e1, e2} <= cube.face_edge_sets[face]
+    assert {e1, e2} <= set(cube.face_edges[face])
 
 
 def test_choose_insertion_draws_from_chosen_face(theta):
     for seed in range(20):
         face, e1, e2 = choose_insertion(theta, random.Random(seed))
-        assert {e1, e2} <= theta.face_edge_sets[face]
+        assert {e1, e2} <= set(theta.face_edges[face])
 
 
 def test_same_edge_draws_happen(theta):
@@ -60,9 +61,9 @@ def test_insert_same_edge(theta):
     m2, event = insert_edge(theta, 1, 1, 1)
     assert (m2.n_vertices, m2.n_edges, m2.n_internal_faces) == (4, 6, 3)
     assert validate_map(m2) == []
-    assert event.split_edges[1][1] in m2.face_edge_sets[event.new_face]
-    assert event.new_edge in m2.face_edge_sets[event.new_face]
-    assert len(m2.face_edge_sets[event.new_face]) == 2  # the new bigon
+    assert event.split_edges[1][1] in m2.face_edges[event.new_face]
+    assert event.new_edge in m2.face_edges[event.new_face]
+    assert len(m2.face_edges[event.new_face]) == 2  # the new bigon
 
 
 @pytest.mark.parametrize("start, face, e1, e2", [(cube_map, 4, 3, 4), (theta_map, 1, 1, 1)])
@@ -90,6 +91,39 @@ def test_insert_rejects_foreign_edge(cube):
         insert_edge(cube, 42, 3, 4)
 
 
+def _assert_sorted_registries(m):
+    for ids in (m.vertex_ids, m.edge_ids, m.face_ids):
+        assert list(ids) == sorted(ids)
+
+
+def _checked_insertion(m, rng):
+    """One random insertion into ``m``, checking that the child's registries
+    are sorted and that every id it mints exceeds all of the parent's ids of
+    its kind."""
+    m2, ev = insert_edge(m, *choose_insertion(m, rng))
+    _assert_sorted_registries(m2)
+    minted_edges = [ev.new_edge, *(seg for segs in ev.split_edges.values() for seg in segs)]
+    assert min(ev.new_vertices) > max(m.vertex_ids)
+    assert min(minted_edges) > max(m.edge_ids)
+    assert ev.new_face > max(m.face_ids)
+    return m2
+
+
+def test_constructors_keep_id_registries_sorted():
+    # insert_edge mints one past the last entry of each registry, so the
+    # matrix parse, from_membership and insert_edge must all keep them sorted
+    rng = random.Random(31)
+    for m in reference_maps().values():
+        reversed_rows = (dict(reversed(rows.items())) for rows in (m.vertex_edges, m.face_edges))
+        for built in (m, CubicMap(*m.matrix_rows()), CubicMap.from_membership(*reversed_rows)):
+            _assert_sorted_registries(built)
+        _checked_insertion(m, rng)
+    for start in (theta_map(), cube_map()):
+        m = start
+        for _ in range(15):
+            m = _checked_insertion(m, rng)
+
+
 def test_insertion_deltas_hold_along_random_walks():
     rng = random.Random(2024)
     for start in (theta_map(), cube_map()):
@@ -97,7 +131,7 @@ def test_insertion_deltas_hold_along_random_walks():
         for _ in range(25):
             faces = m.face_ids
             face = faces[rng.randrange(len(faces))]
-            edges = sorted(m.face_edge_sets[face])
+            edges = m.face_edges[face]
             e1 = edges[rng.randrange(len(edges))]
             e2 = edges[rng.randrange(len(edges))]
             m2, _ = insert_edge(m, face, e1, e2)
@@ -250,7 +284,7 @@ def _insertion_sha256(maps) -> str:
                 record = {
                     "map": map_to_document(m2),
                     "ids": [m2.vertex_ids, m2.edge_ids, m2.face_ids],
-                    "next": [m2.next_ids.vertex, m2.next_ids.edge, m2.next_ids.face],
+                    "next": [max(ids) + 1 for ids in (m2.vertex_ids, m2.edge_ids, m2.face_ids)],
                     "event": [
                         ev.face,
                         ev.targets,

@@ -301,11 +301,9 @@ def test_non_hamiltonian_map_is_pinned():
 
 
 def test_conjecture_two_holds_on_fixtures(cube, theta):
-    assert check_shared_cycle(cube).holds
-    assert check_shared_cycle(theta).holds
-    assert check_shared_cycle(tetrahedron_map()).holds
     counterexample, _ = load_map(fixture_path("two_kempe_classes.json"))
-    assert check_shared_cycle(counterexample).holds
+    for m in (cube, theta, tetrahedron_map(), counterexample):
+        assert check_shared_cycle(m, all_even_cycle_covers(m)).holds
 
 
 def test_conjecture_two_planted_gap(theta):
@@ -318,7 +316,7 @@ def test_conjecture_two_planted_gap(theta):
 def test_conjecture_two_on_random_grown_maps():
     rng = random.Random(404)
     m, _ = random_insertion_walk(theta_map(), 7, rng)
-    assert check_shared_cycle(m).holds
+    assert check_shared_cycle(m, all_even_cycle_covers(m)).holds
 
 
 def test_matching_complementation_bound():
