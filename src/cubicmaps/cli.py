@@ -5,9 +5,9 @@ Exit codes are a stable contract for CI: 0 success, 1 domain failure
 (an unreadable or too deeply nested document, an unwritable output path,
 a negative ``--iterations`` or ``--cap``), 3 reserved (growth cannot get
 stuck: every closure has a host for a pair of equal edges), 4 oracle cap
-exceeded.  A closure without a Hamiltonian cycle is not a failure:
-``enumerate`` and ``grow`` print a warning and exit 0.  ``check`` tests
-both conjectures against one oracle enumeration of the covers.
+exceeded or a map too deep for the oracle search.  A closure without a
+Hamiltonian cycle is not a failure: ``enumerate`` and ``grow`` warn and
+exit 0.  ``check`` tests both conjectures on one oracle cover enumeration.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from .incidence import (
     mask_cover,
 )
 
-DEFAULT_CLOSURE_LIMIT = 10**6
+DEFAULT_CLOSURE_LIMIT = 10**6  # most covers a closure may hold
 
 
 def alternating_halves(cycle: Cycle) -> tuple[frozenset[int], frozenset[int]]:
@@ -83,9 +83,7 @@ class Closure(tuple):
     and its covers' labellings as sorted class-mask triples (``label_masks``)."""
 
 
-def cover_closure(
-    m: CubicMap, seed: Cover, limit: int = DEFAULT_CLOSURE_LIMIT
-) -> Closure:
+def cover_closure(m: CubicMap, seed: Cover) -> Closure:
     """Closure of the seed cover under the reselection step.
 
     Worklist iteration keyed by each cover's on-edge mask: each pick of a
@@ -93,8 +91,8 @@ def cover_closure(
     decomposed into cycles only when new.  Stops when no new cover
     appears.  The result contains the seed and is sorted canonically, so
     it is independent of traversal schedule.  Raises IterationLimit if the
-    closure exceeds ``limit`` covers (pathological input, far beyond
-    anything a desk-scale map produces).
+    closure exceeds ``DEFAULT_CLOSURE_LIMIT`` covers, read at call time
+    (pathological input, far beyond anything a desk-scale map produces).
     """
     seed = check_cover(m, seed)
     seen = {edge_mask(e for cycle in seed for e in cycle): seed}
@@ -107,18 +105,9 @@ def cover_closure(
                 if s not in seen:
                     seen[s] = new = mask_cover(m, s)
                     queue.append(new)
-                    if len(seen) > limit:
-                        raise IterationLimit(f"closure exceeded {limit} covers")
+                    if len(seen) > DEFAULT_CLOSURE_LIMIT:
+                        raise IterationLimit(f"closure exceeded {DEFAULT_CLOSURE_LIMIT} covers")
     closure = Closure(sorted(seen.values()))
     closure.map, closure.label_masks = m, labels
     return closure
 
-
-__all__ = [
-    "DEFAULT_CLOSURE_LIMIT",
-    "Closure",
-    "alternating_halves",
-    "cover_closure",
-    "half_choices",
-    "successor_covers",
-]

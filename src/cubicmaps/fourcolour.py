@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentLabelling, InvalidRotation
 from .incidence import OUTER, CubicMap, FaceKey
-from .labelling import canonical_labelling
+from .labelling import _class_positions, canonical_labelling
 
 COLOURS = ("++", "+-", "-+", "--")
 # canonical class 1 flips the first index, class 2 the second, class 3 both
@@ -37,28 +37,31 @@ def face_colouring_from_labelling(m: CubicMap, lab) -> FaceColouring:
     slip through.  Raises InconsistentLabelling unless the labelling has
     exactly three classes that partition the edges.
     """
-    lab = canonical_labelling(lab)
-    flip_of = {e: flip for flip, cls in zip(_CLASS_FLIPS, lab) for e in cls}
-    if len(lab) != 3 or sum(map(len, lab)) != m.n_edges or flip_of.keys() != m.all_edges:
+    position = _class_positions(m, canonical_labelling(lab))
+    if position is None:
         raise InconsistentLabelling("labelling classes do not partition the edges")
     bits: dict[FaceKey, int] = {OUTER: 0}
     for face, parent, e in m.dual_tree:
-        bits[face] = bits[parent] ^ flip_of[e]
+        bits[face] = bits[parent] ^ _CLASS_FLIPS[position[e]]
     for e, (a, b) in m.dual_edges.items():
-        if bits[a] ^ flip_of[e] != bits[b]:
+        if bits[a] ^ _CLASS_FLIPS[position[e]] != bits[b]:
             raise InconsistentLabelling(
                 f"edge {e}: colour flip inconsistent between faces {a} and {b}"
             )
     return {f: COLOURS[v] for f, v in bits.items()}
 
 
+def _proper_colouring(fc: FaceColouring, faces: set, separated) -> bool:
+    """True iff ``fc`` colours exactly ``faces``, each from ``COLOURS``,
+    and gives the two faces of every pair in ``separated`` different colours."""
+    total = set(fc) == faces and all(c in COLOURS for c in fc.values())
+    return total and all(fc[a] != fc[b] for a, b in separated)
+
+
 def validate_face_colouring(m: CubicMap, fc: FaceColouring) -> bool:
-    """True iff the colouring is total (all faces plus outer) and every
-    edge separates two different colours."""
-    expected = set(m.face_ids) | {OUTER}
-    if set(fc) != expected or not all(c in COLOURS for c in fc.values()):
-        return False
-    return all(fc[a] != fc[b] for a, b in m.dual_edges.values())
+    """True iff the colouring is total (all faces plus outer), uses only
+    ``COLOURS``, and every edge separates two different colours."""
+    return _proper_colouring(fc, {*m.face_ids, OUTER}, m.dual_edges.values())
 
 
 # ---------------------------------------------------------------------
@@ -243,7 +246,6 @@ def pull_back_colouring(fc: FaceColouring, mapping: BlowUpMapping) -> FaceColour
 
 
 def validate_pulled_back(mapping: BlowUpMapping, fc: FaceColouring) -> bool:
-    """Properness of a colouring on the original (pre-blow-up) map."""
-    if set(fc) != set(mapping.face_to_new):
-        return False
-    return all(fc[a] != fc[b] for a, b in mapping.original_edge_faces.values())
+    """Properness of a colouring on the original (pre-blow-up) map: total,
+    from ``COLOURS``, and every original edge separates two colours."""
+    return _proper_colouring(fc, set(mapping.face_to_new), mapping.original_edge_faces.values())

@@ -68,19 +68,24 @@ def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:
     return tuple(sorted(_to_labellings(closure.label_masks)))
 
 
-def validate_labelling(m: CubicMap, lab: Sequence[Iterable[int]]) -> bool:
+def _class_positions(m: CubicMap, lab: Iterable[Iterable[int]]) -> dict[int, int] | None:
+    """Each edge's class position when ``lab`` has three classes whose
+    lengths sum to E and which hold every edge exactly once; else None.
+    Each class is read once, so a class may be any iterable."""
+    classes = [tuple(c) for c in lab]
+    position = {e: i for i, c in enumerate(classes) for e in c}
+    if len(classes) != 3 or sum(map(len, classes)) != m.n_edges or position.keys() != m.all_edges:
+        return None
+    return position
+
+
+def validate_labelling(m: CubicMap, lab: Iterable[Iterable[int]]) -> bool:
     """True iff the classes partition the edges and every vertex meets
     three edges of three distinct classes."""
-    classes = [frozenset(c) for c in lab]
-    if len(classes) != 3:
-        return False
-    if sum(len(c) for c in classes) != m.n_edges:
-        return False
-    union = classes[0] | classes[1] | classes[2]
-    if union != m.all_edges:
-        return False
-    class_of = {e: i for i, c in enumerate(classes) for e in c}
-    return all(len({class_of[e] for e in es}) == len(es) == 3 for es in m.vertex_edges.values())
+    position = _class_positions(m, lab)
+    return position is not None and all(
+        len({position[e] for e in es}) == len(es) == 3 for es in m.vertex_edges.values()
+    )
 
 
 def dedup_labellings(labs: Iterable[Sequence[Iterable[int]]]) -> tuple[Labelling, ...]:

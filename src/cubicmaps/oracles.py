@@ -10,7 +10,8 @@ logic.
 Input contract: every edge has two distinct ends (``CubicMap.edge_vertices``
 raises NotTwoRegular otherwise), so matchings are found on any loop-free
 multigraph.  The cover and the labelling enumerators also check that
-every vertex meets three distinct edges, else NotTwoRegular.
+every vertex meets three distinct edges, else NotTwoRegular.  A map too
+deep for a search's recursion raises CapExceeded, like a map over the cap.
 
 Work that depends only on the map is done once per map.  After its one
 degree check, the cover enumerator walks each matching's complement, a
@@ -78,7 +79,10 @@ def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[f
                 extend(covered | low | other)
                 chosen.pop()
 
-    extend(0)
+    try:
+        extend(0)
+    except RecursionError:
+        raise CapExceeded("map is too deep for the matching search") from None
     return tuple(sorted(out, key=sorted))
 
 
@@ -164,7 +168,10 @@ def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[L
                 class_at[i] = c
                 assign(i + 1, max(opened, c + 1))
 
-    assign(0, 0)
+    try:
+        assign(0, 0)
+    except RecursionError:
+        raise CapExceeded("map is too deep for the labelling search") from None
     return tuple(sorted(found))
 
 

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from cubicmaps import RotationMap, blow_up, check_cover, choose_insertion, grow, insert_edge
+from cubicmaps import (
+    CubicMap,
+    RotationMap,
+    blow_up,
+    check_cover,
+    choose_insertion,
+    grow,
+    insert_edge,
+)
 from cubicmaps.fixtures import (
     cube_map,
     cube_seed,
@@ -48,6 +56,19 @@ def random_insertion_walk(m, steps, rng: random.Random):
     return m, events
 
 
+def prism(n: int) -> CubicMap:
+    """The prism over an n-gon: outer rim edges 1..n (edge i joins vertices
+    i and i+1), inner rim edges n+1..2n, spoke 2n+i joining i to n+i."""
+    vertex_edges = {}
+    for i in range(1, n + 1):
+        before = i - 1 if i > 1 else n
+        vertex_edges[i] = (i, before, 2 * n + i)
+        vertex_edges[n + i] = (n + i, n + before, 2 * n + i)
+    face_edges = {i: (i, n + i, 2 * n + i, 2 * n + i % n + 1) for i in range(1, n + 1)}
+    face_edges[n + 1] = tuple(range(n + 1, 2 * n + 1))
+    return CubicMap.from_membership(vertex_edges, face_edges)
+
+
 def grown_cube():
     """Map and cover of the final step of cube growth seed 13 x 20: 48
     vertices, 72 edges (above the 45-edge oracle cap), and covers of up to
@@ -59,10 +80,10 @@ def grown_cube():
 def reference_maps() -> dict:
     """Name -> map for checking the oracles' fast paths against reference
     implementations: every bundled map document, the blow-up of every
-    bundled rotation document and of the wheels 4-6, and the twelve maps of
-    cube growth seed 1 (12 to 45 edges, the oracle cap).  Theta,
-    ``non_hamiltonian_16`` and the grown maps after an equal-target
-    insertion have parallel edges."""
+    bundled rotation document (the wheels 4 and 5) and of the wheel 6, and
+    the twelve maps of cube growth seed 1 (12 to 45 edges, the oracle
+    cap).  Theta, ``non_hamiltonian_16`` and the grown maps after an
+    equal-target insertion have parallel edges."""
     maps = {}
     for path in sorted(fixture_path("cube.json").parent.glob("*.json")):
         doc = json.loads(path.read_text())
@@ -70,8 +91,7 @@ def reference_maps() -> dict:
             maps[path.stem] = blow_up(RotationMap(*rotation_from_document(doc)))[0]
         elif isinstance(doc, dict):
             maps[path.stem] = map_from_document(doc)[0]
-    for n in (4, 5, 6):
-        maps[f"wheel{n}_blow_up"] = blow_up(wheel_rotation(n))[0]
+    maps["wheel6_blow_up"] = blow_up(wheel_rotation(6))[0]
     for i, step in enumerate(grow(cube_map(), cube_seed(), 11, 1)):
         maps[f"cube_seed1_step{i}"] = step.map
     return maps

@@ -93,17 +93,25 @@ def test_claim_needs_nine_in_ten_pairs_and_a_gap_beyond_the_parent_iqr(tool):
 
 
 def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch):
+    # the workloads and the run length come from BENCHMARK.json, a fourth
+    # workload included
+    workloads = ["grow_cube", "corpus_check", "insert_walk", "fourth"]
+    benchmark = {"run_seconds": 7, "workloads": [{"name": w} for w in workloads],
+                 "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
     calls = []
 
     def fake_run(tree, workload, seed, seconds, trace):
         side = tree.name
         calls.append((side, workload, seed, trace))
+        assert seconds == (tool.TRACE_SECONDS if trace else 7)
         wall = 0.5 if side == "parent" else 0.4
         metrics = {"wall_s": {"value": wall, "unit": "s"}}
         # the change side's traced insert_walk run prints its line, then exits 1
         code = int((side, workload, trace) == ("change", "insert_walk", 1))
         return code, {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
     monkeypatch.setattr(tool, "export_tree", lambda rev, dest: "0" * 40)
     monkeypatch.setattr(tool, "copy_working_tree", lambda dest: None)
     monkeypatch.setattr(tool, "run_once", fake_run)
@@ -114,13 +122,15 @@ def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch)
     untraced = [c for c in calls if c[3] == 0]
     assert untraced[:4] == [("parent", "grow_cube", 1, 0), ("change", "grow_cube", 1, 0),
                             ("change", "grow_cube", 2, 0), ("parent", "grow_cube", 2, 0)]
-    assert len(doc["runs"]) == len(untraced) == 2 * 2 * len(tool.WORKLOADS)
+    assert [c[1] for c in untraced[::4]] == workloads
+    assert len(doc["runs"]) == len(untraced) == 2 * 2 * len(workloads)
     assert [c for c in calls if c[3] == 1] == [
-        (side, w, tool.TRACE_SEED, 1) for side in ("parent", "change") for w in tool.WORKLOADS]
+        (side, w, tool.TRACE_SEED, 1) for side in ("parent", "change") for w in workloads]
+    assert "--seconds 7 " in doc["command"]
     assert {run["exit"] for run in doc["runs"]} == {0}
     assert doc["trace"]["change"]["grow_cube"] == {
         "exit": 0, "correct": True, "failed": 0, "wall_s": 0.4}
     assert doc["trace"]["change"]["insert_walk"]["exit"] == 1
     assert {w: s["correct"] for w, s in doc["summary"].items()} == {
-        "grow_cube": True, "corpus_check": True, "insert_walk": False}
+        "grow_cube": True, "corpus_check": True, "insert_walk": False, "fourth": True}
     assert doc["claim"]["pairs_won"] == 2 and doc["summary"]["insert_walk"]["pairs"] == 2

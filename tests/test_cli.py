@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -11,7 +13,7 @@ from cubicmaps.fixtures import fixture_path, theta_map
 from cubicmaps.incidence import validate_map
 from cubicmaps.serialize import canonical_json, load_map, map_from_document, map_to_document
 
-from conftest import random_insertion_walk
+from conftest import prism, random_insertion_walk
 
 
 @pytest.fixture
@@ -144,6 +146,23 @@ def test_check_cap_exceeded(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(canonical_json(doc))
     assert main(["check", "--input", str(path)]) == 4
+
+
+def test_check_exits_4_when_the_map_is_too_deep_for_the_oracle(tmp_path, capsys):
+    # the matching search takes one frame per matched pair: 200 on the
+    # 200-gon prism, under a recursion limit 150 frames above this test
+    doc = map_to_document(prism(200), cycles=[range(1, 201), range(201, 401)])
+    path = tmp_path / "prism.json"
+    path.write_text(canonical_json(doc))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        code = main(["check", "--input", str(path), "--cap", "100000"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: map is too deep for the matching search"]
 
 
 def test_check_rejects_negative_cap(theta_file, capsys):

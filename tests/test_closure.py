@@ -15,6 +15,7 @@ from cubicmaps import (
     off_edges,
     successor_covers,
 )
+from cubicmaps import closure
 from cubicmaps.fixtures import cube_map, theta_map, wheel_rotation
 
 from conftest import grown_cube, random_insertion_walk
@@ -109,9 +110,10 @@ def test_closure_on_grown_map_is_schedule_free():
         assert cover_closure(m, seed) == first
 
 
-def test_iteration_limit(cube, cube_cover):
-    with pytest.raises(IterationLimit):
-        cover_closure(cube, cube_cover, limit=2)
+def test_iteration_limit(cube, cube_cover, monkeypatch):
+    monkeypatch.setattr(closure, "DEFAULT_CLOSURE_LIMIT", 2)
+    with pytest.raises(IterationLimit, match="exceeded 2 covers"):
+        cover_closure(cube, cube_cover)
 
 
 def test_canonical_cover_is_order_insensitive():

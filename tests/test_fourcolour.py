@@ -90,6 +90,24 @@ def test_labelling_that_is_not_a_partition_is_rejected(cube):
         face_colouring_from_labelling(cube, doubled)
 
 
+def test_a_class_that_repeats_an_edge_is_not_a_partition():
+    # the union is every edge, but the sizes add up to 7, not E = 6
+    m = tetrahedron_map()
+    repeated = ((1, 1, 6), (2, 4), (3, 5))
+    assert not validate_labelling(m, repeated)
+    with pytest.raises(InconsistentLabelling, match="partition"):
+        face_colouring_from_labelling(m, repeated)
+
+
+def test_classes_may_be_any_iterable():
+    m = tetrahedron_map()
+    lab = tetrahedron_labelling()
+    assert validate_labelling(m, (iter(c) for c in lab))
+    assert validate_labelling(m, [set(c) for c in lab])
+    fc = face_colouring_from_labelling(m, (iter(c) for c in lab))
+    assert fc == face_colouring_from_labelling(m, lab)
+
+
 @pytest.mark.parametrize("split", ["empty_fourth", "third_split_in_two"])
 def test_fourth_class_is_rejected(cube, split):
     a, b, c = all_proper_labellings(cube)[0]
@@ -225,6 +243,16 @@ def test_corrupted_pull_back_is_detected():
     proper = pull_back_colouring(fc, mapping)
     for faces in ([f for f in proper if f != OUTER], [*proper, 99]):
         assert not validate_pulled_back(mapping, {f: proper.get(f, COLOURS[0]) for f in faces})
+
+
+def test_colourings_outside_the_four_colours_are_rejected():
+    # each face of the 5-wheel its own colour: every edge separates two
+    # colours, but six colours are no four-colouring
+    cubic, mapping = blow_up(wheel_rotation(5))
+    six = {f: str(i) for i, f in enumerate(mapping.face_to_new)}
+    assert len(six) == 6 and not validate_pulled_back(mapping, six)
+    own = {f: str(i) for i, f in enumerate((OUTER, *cubic.face_ids))}
+    assert not validate_face_colouring(cubic, own)
 
 
 def test_invalid_rotations_are_rejected():

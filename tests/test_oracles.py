@@ -34,7 +34,7 @@ from cubicmaps.labelling import canonical_labelling
 from cubicmaps.oracles import face_pairs
 from cubicmaps.serialize import load_map
 
-from conftest import random_insertion_walk, reference_maps
+from conftest import prism, random_insertion_walk, reference_maps
 
 REFERENCE_MAPS = reference_maps()
 
@@ -194,6 +194,20 @@ def test_cap_exceeded(cube):
         all_even_cycle_covers(cube, cap=11)
     with pytest.raises(CapExceeded):
         all_proper_labellings(cube, cap=11)
+
+
+@pytest.mark.parametrize("enumerator, n", [
+    (all_perfect_matchings, 1100),  # one frame per matched pair: 1,100
+    (all_even_cycle_covers, 1100),
+    (all_proper_labellings, 400),  # one frame per edge: 1,200
+], ids=["matchings", "even_covers", "labellings"])
+def test_a_map_too_deep_for_the_search_exceeds_the_cap(enumerator, n):
+    """Under a cap the map passes, a search deeper than the recursion
+    limit raises CapExceeded, not RecursionError."""
+    m = prism(n)
+    assert validate_map(m) == []
+    with _time_limit(5), pytest.raises(CapExceeded, match="too deep for the"):
+        enumerator(m, cap=m.n_edges)
 
 
 def test_even_cycle_covers(cube, theta):

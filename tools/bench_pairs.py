@@ -7,13 +7,15 @@ parent side is the committed tree of ``--parent``, exported with ``git
 archive``, and the change side is a copy of this checkout's working tree
 (tracked and untracked files that git does not ignore).  Both are fresh
 copies, so neither side runs among the other's build and run leftovers.
-For every workload and pair i = 1..N, each side runs
+For every workload that BENCHMARK.json lists and pair i = 1..N, each side
+runs
 
-    python3 perfbench/run.py --workload W --seed i --seconds 30 --trace 0
+    python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-from its own tree, one run at a time; odd pairs run the parent first, even
-pairs the change.  Each side then makes one traced run per workload
-(``--seed 3 --seconds 15 --trace 1``) for the per-layer metrics.
+with S the file's ``run_seconds``, from its own tree, one run at a time;
+odd pairs run the parent first, even pairs the change.  Each side then
+makes one traced run per workload (``--seed 3 --seconds 15 --trace 1``)
+for the per-layer metrics.
 
 The output keeps every run's exit code and result line (the last line
 ``perfbench/run.py`` prints), each traced run's exit code, ``correct`` and
@@ -41,8 +43,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("grow_cube", "corpus_check", "insert_walk")
-SECONDS = 30  # the run length BENCHMARK.json sets
 TRACE_SEED, TRACE_SECONDS = 3, 15
 
 
@@ -173,7 +173,9 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
             "description": args.description,
             "parent_commit": commit,
             "command": f"python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {SECONDS} --trace 0",
+                       f"--seconds {seconds} --trace 0",
             "host": f"{platform.system()}, nproc {os.cpu_count()}, "
                     f"python {platform.python_version()}, one run at a time",
             "claim": None,
@@ -199,11 +201,11 @@ def main(argv=None) -> int:
                 doc["claim"] = judge_claim(doc["summary"], args.claim, metrics)
             out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
-        for workload in WORKLOADS:
+        for workload in workloads:
             for pair in range(1, args.pairs + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    code, result = run_once(trees[side], workload, pair, SECONDS, 0)
+                    code, result = run_once(trees[side], workload, pair, seconds, 0)
                     doc["runs"].append({"side": side, "workload": workload, "seed": pair,
                                         "pair": pair, "first": order[0], "exit": code,
                                         "result": result})
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
         }
         for side in ("parent", "change"):
             doc["trace"][side] = {}
-            for workload in WORKLOADS:
+            for workload in workloads:
                 code, result = run_once(trees[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
                 doc["trace"][side][workload] = traced_entry(code, result)
                 save()
