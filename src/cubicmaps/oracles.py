@@ -3,15 +3,18 @@
 The enumerators are independent of the closure engine: perfect matchings
 by vertex-order backtracking, even cycle covers by matching
 complementation (a 2-factor of a cubic graph is exactly the complement
-of a perfect matching), and proper labellings by edge-order backtracking.
-They exist to *check* the fast path, so they share none of its search
-logic.
+of a perfect matching), and proper labellings by joining matchings (each
+class of a proper 3-edge-labelling meets every vertex once, so a
+labelling is three disjoint perfect matchings).  The matching search is
+their one search.  They exist to *check* the fast path, so they share
+none of its search logic.
 
 Input contract: every edge has two distinct ends (``CubicMap.edge_vertices``
 raises NotTwoRegular otherwise), so matchings are found on any loop-free
 multigraph.  The cover and the labelling enumerators also check that
 every vertex meets three distinct edges, else NotTwoRegular.  A map too
-deep for a search's recursion raises CapExceeded, like a map over the cap.
+deep for the matching search's recursion raises CapExceeded, like a map
+over the cap.
 
 Work that depends only on the map is done once per map.  After its one
 degree check, the cover enumerator walks each matching's complement, a
@@ -20,24 +23,19 @@ The shared-cycle check gives every (cover, cycle) slot one bit and every
 edge the mask of the slots that hold it, so a face pair shares a cycle
 iff its masks meet.
 
-Both searches test conflicts with integer bitmasks.  The matching search
-holds the covered vertices as a bitmask over the positions of
-``vertex_ids`` and always matches the lowest uncovered vertex.  The
-labelling search visits the edges breadth first, so an edge is labelled
-soon after its neighbours and a conflict shows early; the classes of its
-labelled neighbours form a forbidden mask, and classes are opened in
-order, so each labelling is built once rather than once per role name.
+The matching search holds the covered vertices as an integer bitmask
+over the positions of ``vertex_ids`` and always matches the lowest
+uncovered vertex.  The labelling join works on the matchings' edge masks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from .closure import cover_closure
 from .errors import CapExceeded, NotTwoRegular
-from .incidence import Cover, CubicMap, canonical_cover, edge_mask, walk_cycles
+from .incidence import Cover, CubicMap, canonical_cover, edge_mask, mask_edges, walk_cycles
 from .labelling import Labelling, canonical_labelling
 from .serialize import map_fingerprint
 
@@ -49,16 +47,14 @@ def _check_cap(m: CubicMap, cap: int) -> None:
         raise CapExceeded(f"map has {m.n_edges} edges, oracle cap is {cap}")
 
 
-def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[frozenset[int], ...]:
-    """Every edge set covering each vertex exactly once, sorted by their
-    sorted edges.
+def _matchings(m: CubicMap) -> list[frozenset[int]]:
+    """Every perfect matching, unsorted.
 
     Backtracks over vertices in id order.  The covered vertices are an
     integer bitmask over the positions of ``vertex_ids``; the next vertex
     to match is the lowest uncovered one, ``~covered & (covered + 1)``,
     and it offers its precomputed (edge, neighbour bit) pairs.
     """
-    _check_cap(m, cap)
     bit = {v: 1 << i for i, v in enumerate(m.vertex_ids)}
     options = {
         bit[v]: [(e, bit[m.other_endpoint(e, v)]) for e in es]
@@ -83,7 +79,14 @@ def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[f
         extend(0)
     except RecursionError:
         raise CapExceeded("map is too deep for the matching search") from None
-    return tuple(sorted(out, key=sorted))
+    return out
+
+
+def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[frozenset[int], ...]:
+    """Every edge set covering each vertex exactly once, sorted by their
+    sorted edges (``_matchings`` after the cap check)."""
+    _check_cap(m, cap)
+    return tuple(sorted(_matchings(m), key=sorted))
 
 
 def _check_cubic(m: CubicMap) -> None:
@@ -113,65 +116,28 @@ def all_even_cycle_covers(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[C
     return tuple(sorted(covers))
 
 
-def _breadth_first_edges(m: CubicMap) -> list[int]:
-    """Every edge once, breadth first over shared vertices from the lowest
-    edge id, restarting from the lowest unseen id when the queue runs dry."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in m.edge_ids:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            e = queue.popleft()
-            order.append(e)
-            for v in m.edge_vertices[e]:
-                for f in m.vertex_edges[v]:
-                    if f not in seen:
-                        seen.add(f)
-                        queue.append(f)
-    return order
-
-
 def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Labelling, ...]:
     """Every proper 3-edge-labelling up to role permutation, sorted.
 
-    Backtracks over the edges in breadth-first order (``_breadth_first_edges``).
-    At each position the classes of the earlier edges that share a vertex
-    with it form a forbidden bitmask.  Classes are opened in order: the
-    first edge takes class 0, and a later edge takes a class already used
-    or the next unused one, so each labelling is built exactly once
-    before canonicalization.
+    On a cubic map each class meets every vertex once, so a labelling is
+    three disjoint perfect matchings.  Over the edge masks of
+    ``_matchings``, the join keeps each pair (p, q) where p holds the first
+    vertex's first edge, q its second, p and q are disjoint and the
+    remaining edges form a matching too.  The first vertex's three edges
+    lie in three classes, so each labelling is found exactly once.
     """
     _check_cap(m, cap)
     _check_cubic(m)
-    order = _breadth_first_edges(m)
-    pos = {e: i for i, e in enumerate(order)}
-    neighbours = [{pos[f] for v in m.edge_vertices[e] for f in m.vertex_edges[v]} for e in order]
-    earlier = [[j for j in ns if j < i] for i, ns in enumerate(neighbours)]
-    class_at = [0] * len(order)
-    found: list[Labelling] = []
-
-    def assign(i: int, opened: int) -> None:
-        if i == len(order):
-            classes: tuple[list[int], ...] = ([], [], [])
-            for e, c in zip(order, class_at):
-                classes[c].append(e)
-            found.append(canonical_labelling(classes))
-            return
-        forbidden = 0
-        for j in earlier[i]:
-            forbidden |= 1 << class_at[j]
-        for c in range(min(opened + 1, 3)):
-            if not forbidden >> c & 1:
-                class_at[i] = c
-                assign(i + 1, max(opened, c + 1))
-
-    try:
-        assign(0, 0)
-    except RecursionError:
-        raise CapExceeded("map is too deep for the labelling search") from None
+    every = m._all_mask
+    masks = {edge_mask(x) for x in _matchings(m)}
+    # a map with no vertices has one labelling, three empty classes
+    a, b = (1 << e for e in m.vertex_edges[m.vertex_ids[0]][:2]) if m.vertex_ids else (0, 0)
+    second = [q for q in masks if q & b == b]
+    found = [
+        canonical_labelling(map(mask_edges, (p, q, every ^ p ^ q)))
+        for p in masks if p & a == a
+        for q in second if not p & q and every ^ p ^ q in masks
+    ]
     return tuple(sorted(found))
 
 

@@ -129,12 +129,7 @@ def test_insertion_deltas_hold_along_random_walks():
     for start in (theta_map(), cube_map()):
         m = start
         for _ in range(25):
-            faces = m.face_ids
-            face = faces[rng.randrange(len(faces))]
-            edges = m.face_edges[face]
-            e1 = edges[rng.randrange(len(edges))]
-            e2 = edges[rng.randrange(len(edges))]
-            m2, _ = insert_edge(m, face, e1, e2)
+            m2, _ = insert_edge(m, *choose_insertion(m, rng))
             assert m2.n_vertices == m.n_vertices + 2
             assert m2.n_edges == m.n_edges + 3
             assert m2.n_internal_faces == m.n_internal_faces + 1
