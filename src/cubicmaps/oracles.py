@@ -23,9 +23,12 @@ The shared-cycle check gives every (cover, cycle) slot one bit and every
 edge the mask of the slots that hold it, so a face pair shares a cycle
 iff its masks meet.
 
-The matching search holds the covered vertices as an integer bitmask
-over the positions of ``vertex_ids`` and always matches the lowest
-uncovered vertex.  The labelling join works on the matchings' edge masks.
+The matching search visits the vertices in depth-first order from the
+lowest id, so each vertex it matches, bar the first of a component, has
+a neighbour already matched.  It holds the covered vertices as an
+integer bitmask over the positions of that order, and returns each
+matching as an edge mask.  ``all_perfect_matchings`` converts the masks
+to edge sets, and the labelling join works on them as they are.
 """
 
 from __future__ import annotations
@@ -47,36 +50,56 @@ def _check_cap(m: CubicMap, cap: int) -> None:
         raise CapExceeded(f"map has {m.n_edges} edges, oracle cap is {cap}")
 
 
-def _matchings(m: CubicMap) -> list[frozenset[int]]:
-    """Every perfect matching, unsorted.
+def _search_order(m: CubicMap) -> list[int]:
+    """The vertex ids in depth-first preorder from the lowest id.
 
-    Backtracks over vertices in id order.  The covered vertices are an
-    integer bitmask over the positions of ``vertex_ids``; the next vertex
-    to match is the lowest uncovered one, ``~covered & (covered + 1)``,
-    and it offers its precomputed (edge, neighbour bit) pairs.
+    Each vertex visits its edges in id order.  A vertex that no earlier
+    vertex reaches starts the next tree, lowest unvisited id first, so a
+    disconnected map still lists every vertex.
     """
-    bit = {v: 1 << i for i, v in enumerate(m.vertex_ids)}
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in m.vertex_ids:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                stack.extend(m.other_endpoint(e, v) for e in reversed(m.vertex_edges[v]))
+    return order
+
+
+def _matchings(m: CubicMap) -> list[int]:
+    """The edge mask of every perfect matching, unsorted.
+
+    Backtracks over the vertices in ``_search_order``, so each vertex to
+    match, bar the first of a component, has a neighbour already matched
+    and a dead end shows early.  The covered vertices are an integer
+    bitmask, bit i for the i-th vertex of that order; the next vertex to
+    match is the lowest uncovered bit, ``~covered & (covered + 1)``, and
+    it offers its precomputed (edge bit, neighbour bit) pairs.  Each
+    matching's edge mask is built while the search recurses.
+    """
+    bit = {v: 1 << i for i, v in enumerate(_search_order(m))}
     options = {
-        bit[v]: [(e, bit[m.other_endpoint(e, v)]) for e in es]
+        bit[v]: [(1 << e, bit[m.other_endpoint(e, v)]) for e in es]
         for v, es in m.vertex_edges.items()
     }
     full = (1 << m.n_vertices) - 1
-    out: list[frozenset[int]] = []
-    chosen: list[int] = []
+    out: list[int] = []
 
-    def extend(covered: int) -> None:
+    def extend(covered: int, edges: int) -> None:
         if covered == full:
-            out.append(frozenset(chosen))
+            out.append(edges)
             return
         low = ~covered & (covered + 1)
         for e, other in options[low]:
             if not covered & other:
-                chosen.append(e)
-                extend(covered | low | other)
-                chosen.pop()
+                extend(covered | low | other, edges | e)
 
     try:
-        extend(0)
+        extend(0, 0)
     except RecursionError:
         raise CapExceeded("map is too deep for the matching search") from None
     return out
@@ -86,7 +109,7 @@ def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[f
     """Every edge set covering each vertex exactly once, sorted by their
     sorted edges (``_matchings`` after the cap check)."""
     _check_cap(m, cap)
-    return tuple(sorted(_matchings(m), key=sorted))
+    return tuple(map(frozenset, sorted(map(mask_edges, _matchings(m)))))
 
 
 def _check_cubic(m: CubicMap) -> None:
@@ -129,7 +152,7 @@ def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[L
     _check_cap(m, cap)
     _check_cubic(m)
     every = m._all_mask
-    masks = {edge_mask(x) for x in _matchings(m)}
+    masks = set(_matchings(m))
     # a map with no vertices has one labelling, three empty classes
     a, b = (1 << e for e in m.vertex_edges[m.vertex_ids[0]][:2]) if m.vertex_ids else (0, 0)
     second = [q for q in masks if q & b == b]

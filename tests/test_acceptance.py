@@ -447,6 +447,47 @@ def test_criterion_9_hamiltonian_never_empty(corpus):
     )
 
 
+# Oracle facts about cube growth seeds 42, 16 and 13 x 20 insertions (up
+# to 72 edges, past the 45-edge cap): growth seed -> steps.
+PAST_CAP_ITERATIONS = 20
+PAST_CAP_SPLIT = {42: set(range(3, 21)), 16: set(range(16, 21)), 13: set()}
+PAST_CAP_NON_HAMILTONIAN = {42: set(range(14, 20)), 16: set(range(16, 21)), 13: set()}
+
+
+def test_criteria_3_5_9_past_the_cap():
+    """Criteria 3, 5 and 9 on cube growth past the oracle cap, with both
+    enumerators run with the cap lifted on every step: the closure lies in
+    the oracle, and it misses covers exactly where it misses labellings;
+    the split and non-Hamiltonian steps are pinned; every Hamiltonian step
+    has a non-empty Hamiltonian subset."""
+    t0 = time.perf_counter()
+    split, non_hamiltonian, missed = {}, {}, []
+    for seed in PAST_CAP_SPLIT:
+        split[seed], non_hamiltonian[seed] = set(), set()
+        for i, st in enumerate(grow(cube_map(), cube_seed(), PAST_CAP_ITERATIONS, seed)):
+            covers = set(all_even_cycle_covers(st.map, cap=st.map.n_edges))
+            labellings = set(all_proper_labellings(st.map, cap=st.map.n_edges))
+            closure, closure_labellings = set(st.covers), set(dedup_labellings(st.labellings))
+            assert closure <= covers and closure_labellings <= labellings, (seed, i)
+            assert (closure == covers) == (closure_labellings == labellings), (seed, i)
+            if closure != covers:
+                split[seed].add(i)
+            if not _single_cycle(covers):
+                non_hamiltonian[seed].add(i)
+            elif not st.hamiltonian:
+                missed.append((seed, i))
+    elapsed = time.perf_counter() - t0
+    ok = split == PAST_CAP_SPLIT and non_hamiltonian == PAST_CAP_NON_HAMILTONIAN and not missed
+    _report(3, "cube growth to 72 edges: split and non-Hamiltonian steps pinned, "
+               "non-empty Hamiltonian subsets", ok,
+            f"{sum(map(len, split.values()))} split steps, "
+            f"{sum(map(len, non_hamiltonian.values()))} non-Hamiltonian, "
+            f"{len(missed)} empty subsets, in {elapsed:.1f}s")
+    assert split == PAST_CAP_SPLIT
+    assert non_hamiltonian == PAST_CAP_NON_HAMILTONIAN
+    assert not missed, missed
+
+
 def test_criterion_10_trace_determinism(tmp_path):
     src = tmp_path / "cube.json"
     shutil.copy(fixture_path("cube.json"), src)

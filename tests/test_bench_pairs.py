@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "ok_ratio", "better": "higher"}]
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "ok_ratio", "better": "higher", "bound": 0.01}]
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,7 @@ def test_summary_of_fixed_pairs(tool):
     assert wall["change_better"] == 4  # pair 2: 0.41 > 0.40
     assert wall["parent_range"] == [0.4, 0.5] and wall["change_range"] == [0.35, 0.41]
     assert summary["ok_ratio"]["change_better"] == 0  # ties are not wins
+    assert wall["regressed"] is False and summary["ok_ratio"]["regressed"] is False
     assert summary["failed"] == {"parent": 0, "change": 0}
     assert summary["correct"] is True
 
@@ -74,6 +76,22 @@ def test_a_run_that_exits_non_zero_is_not_correct(tool):
     assert tool.summarise(_runs(), METRICS, trace)["grow_cube"]["correct"] is False
     trace["change"]["grow_cube"]["exit"] = 0
     assert tool.summarise(_runs(), METRICS, trace)["grow_cube"]["correct"] is True
+
+
+@pytest.mark.parametrize("change_wall, change_ok, regressed", [
+    # parent medians: wall_s 0.45 (bound 0.25: worse by more than 0.1125),
+    # ok_ratio 1.0 (bound 0.01: worse by more than 0.01)
+    (0.57, 1.0, {"wall_s": True, "ok_ratio": False}),
+    (0.56, 1.0, {"wall_s": False, "ok_ratio": False}),
+    (0.45, 0.98, {"wall_s": False, "ok_ratio": True}),
+    (0.45, 0.995, {"wall_s": False, "ok_ratio": False}),
+])
+def test_regression_is_a_median_worse_by_more_than_the_bound(
+        tool, change_wall, change_ok, regressed):
+    runs = [_run("parent", i, w) for i, w in enumerate(PARENT, start=1)]
+    runs += [_run("change", i, change_wall, ok=change_ok) for i in range(1, 6)]
+    summary = tool.summarise(runs, METRICS)["grow_cube"]
+    assert {name: summary[name]["regressed"] for name in regressed} == regressed
 
 
 def test_claim_needs_nine_in_ten_pairs_and_a_gap_beyond_the_parent_iqr(tool):
@@ -134,3 +152,27 @@ def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch)
     assert {w: s["correct"] for w, s in doc["summary"].items()} == {
         "grow_cube": True, "corpus_check": True, "insert_walk": False, "fourth": True}
     assert doc["claim"]["pairs_won"] == 2 and doc["summary"]["insert_walk"]["pairs"] == 2
+
+
+@pytest.mark.parametrize("claim", [
+    "corpus_chek.wall_s",  # unknown workload
+    "grow_cube.wall",  # unknown metric
+    "grow_cube.closure.covers",  # a per-layer metric is not summarised
+    "grow_cube",  # no metric at all
+])
+def test_a_claim_outside_the_benchmark_exits_2_before_any_run(
+        tool, tmp_path, monkeypatch, capsys, claim):
+    benchmark = {"run_seconds": 7, "workloads": [{"name": "grow_cube"}], "end_to_end": METRICS}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+
+    def no_run(*args):
+        raise AssertionError("ran before the claim was checked")
+
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "export_tree", no_run)
+    monkeypatch.setattr(tool, "run_once", no_run)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--parent", "HEAD", "--out", str(out), "--claim", claim]) == 2
+    assert not out.exists()
+    assert repr(claim) in capsys.readouterr().err
+    assert tool.claim_error("grow_cube.ok_ratio", benchmark) is None

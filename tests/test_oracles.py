@@ -31,7 +31,7 @@ from cubicmaps.fixtures import (
     theta_map,
 )
 from cubicmaps.labelling import canonical_labelling
-from cubicmaps.oracles import face_pairs
+from cubicmaps.oracles import _search_order, face_pairs
 from cubicmaps.serialize import load_map
 
 from conftest import prism, random_insertion_walk, reference_maps
@@ -223,6 +223,33 @@ def test_a_map_too_deep_for_the_search_exceeds_the_cap(enumerator):
     assert validate_map(m) == []
     with _time_limit(5), pytest.raises(CapExceeded, match="too deep for the"):
         enumerator(m, cap=m.n_edges)
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_search_order_follows_the_map(name):
+    """The matching search's vertex order is a depth-first order: it lists
+    every vertex once, starts at the lowest id, and each later vertex of a
+    component meets an earlier one."""
+    m = REFERENCE_MAPS[name]
+    order = _search_order(m)
+    assert sorted(order) == list(m.vertex_ids) and order[:1] == list(m.vertex_ids[:1])
+    neighbours = {v: {m.other_endpoint(e, v) for e in es} for v, es in m.vertex_edges.items()}
+    for i, v in enumerate(order[1:], start=1):
+        assert neighbours[v] & set(order[:i]), (v, i)
+
+
+def test_search_order_restarts_on_each_component():
+    assert _search_order(_two_thetas()) == [1, 2, 3, 4]
+
+
+def test_matchings_past_the_cap_within_seconds():
+    """Cube + 30 random insertions, 102 edges: the search follows the map,
+    so it needs a fraction of a second where matching the lowest vertex id
+    took about 30 s."""
+    m, _ = random_insertion_walk(cube_map(), 30, random.Random(42))
+    assert m.n_edges == 102
+    with _time_limit(5):
+        assert len(all_perfect_matchings(m, cap=10**9)) == 34_883
 
 
 def test_even_cycle_covers(cube, theta):

@@ -21,10 +21,14 @@ The output keeps every run's exit code and result line (the last line
 ``perfbench/run.py`` prints), each traced run's exit code, ``correct`` and
 ``failed`` next to its metrics, and a summary per workload and end-to-end
 metric: medians, interquartile ranges (``statistics.quantiles``, exclusive
-method), ranges and the number of pairs in which the change was better.
+method), ranges, the number of pairs in which the change was better, and
+whether the change's median is worse than the parent's by more than the
+metric's ``bound`` times the parent median (``regressed``).
 A workload's summary is ``correct`` only if every run of it, paired or
 traced, exited 0 and reported ``correct: true``.  The file is rewritten
-after every run, so an interrupted run keeps what it measured.
+after every run, so an interrupted run keeps what it measured.  A
+``--claim`` that names no workload and end-to-end metric of BENCHMARK.json
+exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -103,9 +107,11 @@ def _value(run: dict, metric: str):
 
 def summarise(runs: list[dict], metrics: list[dict], trace: dict | None = None) -> dict:
     """Per workload: the pair count, and per end-to-end metric the medians,
-    the interquartile ranges, the ranges and the pairs the change won.
-    ``metrics`` are BENCHMARK.json ``end_to_end`` entries (``name`` and
-    ``better``); ``trace`` maps side -> workload -> traced entry."""
+    the interquartile ranges, the ranges, the pairs the change won and
+    whether the change's median is worse than the parent's by more than
+    ``bound`` times the parent median.  ``metrics`` are BENCHMARK.json
+    ``end_to_end`` entries (``name``, ``better`` and ``bound``); ``trace``
+    maps side -> workload -> traced entry."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -120,15 +126,19 @@ def summarise(runs: list[dict], metrics: list[dict], trace: dict | None = None) 
                       for side in ("parent", "change")}
             if not complete or None in values["parent"] + values["change"]:
                 continue
-            stats = {}
+            stats, medians = {}, {}
             for side, vs in values.items():
                 q1, _, q3 = statistics.quantiles(vs, n=4) if len(vs) > 1 else (vs[0],) * 3
-                stats[f"{side}_median"] = round(statistics.median(vs), 4)
+                medians[side] = statistics.median(vs)
+                stats[f"{side}_median"] = round(medians[side], 4)
                 stats[f"{side}_iqr"] = round(q3 - q1, 4)
             stats["change_better"] = sum(
                 (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
             for side, vs in values.items():
                 stats[f"{side}_range"] = [round(min(vs), 4), round(max(vs), 4)]
+            worse = medians["change"] - medians["parent"]
+            worse = worse if lower else -worse
+            stats["regressed"] = worse > metric["bound"] * abs(medians["parent"])
             entry[name] = stats
         entry["failed"] = {side: sum(p[side]["result"].get("failed", 0) for p in complete)
                            for side in ("parent", "change")}
@@ -139,6 +149,19 @@ def summarise(runs: list[dict], metrics: list[dict], trace: dict | None = None) 
             and all(_passed(t["exit"], t) for t in traced))
         summary[workload] = entry
     return summary
+
+
+def claim_error(claim: str, benchmark: dict) -> str | None:
+    """Why ``claim`` cannot be judged, or None: it must be "workload.metric"
+    with a workload and an end-to-end metric that ``benchmark`` (the
+    parsed BENCHMARK.json) lists."""
+    workload, dot, name = claim.partition(".")
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    if dot and workload in workloads and name in metrics:
+        return None
+    return (f'claim {claim!r} is not "workload.metric" with a workload of {workloads} '
+            f"and an end-to-end metric of {metrics}")
 
 
 def judge_claim(summary: dict, claim: str, metrics: list[dict]) -> dict:
@@ -174,6 +197,9 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         benchmark = json.load(fh)
+    if args.claim and (error := claim_error(args.claim, benchmark)):
+        print(f"bench_pairs: {error}", file=sys.stderr)
+        return 2
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
