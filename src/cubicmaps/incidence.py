@@ -8,6 +8,12 @@ external edges lie on a single listed face).  The 0/1 incidence matrices
 Parallel edges are first class (identical columns); loops are
 inexpressible and rejected.  All adjacency queries are edge-id based,
 never endpoint based, so parallel edges never collide.
+
+Cycles are walked on a turn table that each map builds from its own
+vertex rows (``CubicMap._turns``): a step of ``walk_cycles`` is one table
+lookup and one bit test, and every walk starts at its lowest edge toward
+the lower neighbour, so it comes out canonical and a cover of walks needs
+only sorting.  ``validate_map`` walks each face once on the same table.
 """
 
 from __future__ import annotations
@@ -120,6 +126,33 @@ class CubicMap:
             if len(vs) != 2 or vs[0] == vs[1]:
                 raise NotTwoRegular(f"edge {e} has ends {list(vs)} (expected 2 distinct)")
         return self._edge_ends
+
+    @cached_property
+    def _turns(self) -> dict[int, tuple[int, int, int, int]]:
+        """Dart -> ``(y, dy, z, dz)``: the other two edges at the vertex the
+        dart points to, each with the dart that leaves that vertex along it.
+
+        Dart ``2*e + k`` is edge e travelled toward ``edge_vertices[e][k]``.
+        Built from this map's own rows, never from a parent map, so the face
+        check of ``validate_map`` stays independent of edge insertion.
+        NotTwoRegular unless every vertex lists three distinct edges.  A
+        dict, so an edge id far above the edge count costs no memory.
+        """
+        ends = self.edge_vertices
+        turns = {}
+        for v, es in self.vertex_edges.items():
+            # rows are id-sorted, so an edge listed twice sits next to itself
+            if len(es) != 3 or es[0] == es[1] or es[1] == es[2]:
+                raise NotTwoRegular(f"vertex {v} lists edges {list(es)} (expected 3 distinct)")
+            a, b, c = es
+            # the dart that leaves v along each edge; its partner (^ 1) arrives
+            da = 2 * a + (ends[a][0] == v)
+            db = 2 * b + (ends[b][0] == v)
+            dc = 2 * c + (ends[c][0] == v)
+            turns[da ^ 1] = (b, db, c, dc)
+            turns[db ^ 1] = (a, da, c, dc)
+            turns[dc ^ 1] = (a, da, b, db)
+        return turns
 
     @cached_property
     def edge_internal_faces(self) -> dict[int, tuple[int, ...]]:
@@ -286,18 +319,36 @@ def validate_map(m: CubicMap) -> list[str]:
         k = len(external.intersection(edges))
         if k not in (0, 2):
             report.append(f"vertex {v} touches {k} external edges (expected 0 or 2)")
-    # A face is one closed boundary when every vertex it touches meets two of
-    # its edges and those edges walk as one cycle: what ``face_boundary``
-    # checks, without building the canonical cycle it returns.
-    ends = m.edge_vertices
     for f, edges in m.face_edges.items():
-        degree: dict[int, int] = {}
-        for e in edges:
-            for v in ends[e]:
-                degree[v] = degree.get(v, 0) + 1
-        if set(degree.values()) != {2} or len(walk_cycles(m, edge_mask(edges))) != 1:
+        if not _one_closed_boundary(m, edges):
             report.append(f"face {f} edges do not form one closed boundary")
     return report
+
+
+def _one_closed_boundary(m: CubicMap, edges: tuple[int, ...]) -> bool:
+    """Whether distinct known edges form one cycle, as ``face_boundary``
+    checks, without building the canonical cycle it returns.
+
+    One walk from the first edge, of at most ``len(edges)`` steps: at each
+    vertex exactly one of the two exits must be one of the edges, and the
+    walk must close on the first edge after exactly ``len(edges)`` steps.
+    """
+    if not edges:
+        return False
+    turns, mask, first = m._turns, edge_mask(edges), edges[0]
+    d = 2 * first
+    for step in range(1, len(edges) + 1):
+        y, dy, z, dz = turns[d]
+        on_y = mask >> y & 1
+        if on_y == mask >> z & 1:
+            return False
+        if on_y:
+            x, d = y, dy
+        else:
+            x, d = z, dz
+        if x == first:
+            return step == len(edges)
+    return False
 
 
 def euler_check(m: CubicMap) -> bool:
@@ -341,39 +392,53 @@ def mask_edges(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def walk_cycles(m: CubicMap, mask: int) -> list[list[int]]:
-    """Split an edge mask into its cycles, each as a list of edge ids.
+def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
+    """Split an edge mask into its canonical cycles.
 
     The only cycle walker of the package.  Every vertex the mask touches
     must meet exactly two of its edges; callers check that with
-    ``_degree_two_mask`` (or, like the closure, build only such masks, or,
-    like ``validate_map``, count the degrees first to report, not raise).
-    Each cycle is walked from its lowest edge id, and cycles come out in
-    order of their lowest edge id.
+    ``_degree_two_mask`` (or, like the closure and the cover oracle, build
+    only such masks).  Each step is one lookup in the map's turn table
+    (``CubicMap._turns``, built from its own rows) and one bit test.  Each
+    cycle starts at its lowest edge id and leaves it toward the lower of its
+    two neighbours, so it comes out in ``canonical_cycle`` form, and cycles
+    come out in order of their lowest edge id.
     """
-    ends, incident = m.edge_vertices, m.vertex_edges
+    turns = m._turns
     cycles = []
     while mask:
-        low = mask & -mask
-        mask ^= low
-        e = low.bit_length() - 1
-        start, cur = ends[e]
+        e = (mask & -mask).bit_length() - 1
+        # leave e along the lower of the mask edges at its two ends: x at
+        # the first end, z at the second, each with its leaving dart
+        y, dy, z, dz = turns[2 * e]
+        x, d = (y, dy) if mask >> y & 1 else (z, dz)
+        y, dy, z, dz = turns[2 * e + 1]
+        if mask >> y & 1:
+            z, dz = y, dy
+        if z < x:
+            x, d = z, dz
         walk = [e]
-        while cur != start:
-            for e in incident[cur]:
-                if mask >> e & 1:
-                    break
-            mask ^= 1 << e
-            walk.append(e)
-            a, b = ends[e]
-            cur = b if a == cur else a
-        cycles.append(walk)
+        while x != e:
+            walk.append(x)
+            y, dy, z, dz = turns[d]
+            if mask >> y & 1:
+                x, d = y, dy
+            else:
+                x, d = z, dz
+        mask ^= edge_mask(walk)
+        cycles.append(tuple(walk))
     return cycles
 
 
 def mask_cover(m: CubicMap, mask: int) -> Cover:
     """The canonical cover formed by a 2-regular spanning edge mask."""
-    return canonical_cover(walk_cycles(m, mask))
+    return _sorted_cover(walk_cycles(m, mask))
+
+
+def _sorted_cover(walks: list[Cycle]) -> Cover:
+    """Walked cycles in canonical cover order, (length, sequence): they come
+    in order of their distinct first edges, so a stable sort by length is it."""
+    return tuple(sorted(walks, key=len))
 
 
 def _degree_two_mask(
@@ -418,7 +483,7 @@ def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
     walks = walk_cycles(m, mask)
     if len(walks) > 1:
         raise NotACycle("edge set is disconnected")
-    return canonical_cycle(walks[0])
+    return walks[0]
 
 
 def face_boundary(m: CubicMap, face: int) -> Cycle:
@@ -494,5 +559,5 @@ def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
         raise InvalidCover("the given cycles are not the cycles of their union")
     for walk in walks:
         if len(walk) % 2 != 0:
-            raise InvalidCover(f"cycle {canonical_cycle(walk)} has odd length {len(walk)}")
-    return canonical_cover(walks)
+            raise InvalidCover(f"cycle {walk} has odd length {len(walk)}")
+    return _sorted_cover(walks)

@@ -12,13 +12,15 @@ none of its search logic.
 Input contract: every edge has two distinct ends (``CubicMap.edge_vertices``
 raises NotTwoRegular otherwise), so matchings are found on any loop-free
 multigraph.  The cover and the labelling enumerators also check that
-every vertex meets three distinct edges, else NotTwoRegular.  A map too
+every vertex meets three distinct edges, else NotTwoRegular: building the
+map's turn table (``CubicMap._turns``) is that check.  A map too
 deep for the matching search's recursion raises CapExceeded, like a map
 over the cap.
 
 Work that depends only on the map is done once per map.  After its one
 degree check, the cover enumerator walks each matching's complement, a
-spanning 2-factor, unchecked and canonicalises only the all-even walks.
+spanning 2-factor, unchecked into canonical cycles and only sorts the
+all-even walks.
 The shared-cycle check gives every (cover, cycle) slot one bit and every
 edge the mask of the slots that hold it, so a face pair shares a cycle
 iff its masks meet.
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .closure import cover_closure
-from .errors import CapExceeded, NotTwoRegular
-from .incidence import Cover, CubicMap, canonical_cover, edge_mask, mask_edges, walk_cycles
+from .errors import CapExceeded
+from .incidence import Cover, CubicMap, _sorted_cover, edge_mask, mask_edges, walk_cycles
 from .labelling import Labelling, canonical_labelling
 from .serialize import map_fingerprint
 
@@ -112,30 +114,22 @@ def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[f
     return tuple(map(frozenset, sorted(map(mask_edges, _matchings(m)))))
 
 
-def _check_cubic(m: CubicMap) -> None:
-    """Raise NotTwoRegular unless every vertex meets three distinct edges.
-    With ``edge_vertices``' check of the edge ends, the complement of each
-    perfect matching is then a spanning 2-factor."""
-    for v, es in m.vertex_edges.items():
-        if len(set(es)) != 3 or len(es) != 3:
-            raise NotTwoRegular(f"vertex {v} lists edges {list(es)} (expected 3 distinct)")
-
-
 def all_even_cycle_covers(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Cover, ...]:
     """Every spanning set of vertex-disjoint even cycles, canonical-sorted.
 
-    After the cap check, one degree check of the map (``_check_cubic``)
-    makes the complement of every perfect matching a spanning 2-factor.
-    Each complement is walked unchecked and canonicalised only if all its
-    cycles are even.
+    After the cap check, the map's turn table checks that every vertex
+    meets three distinct edges (NotTwoRegular otherwise), which makes the
+    complement of every perfect matching a spanning 2-factor.  Each
+    complement is walked unchecked into canonical cycles, and kept, sorted,
+    if all its cycles are even.
     """
     _check_cap(m, cap)
-    _check_cubic(m)
+    m._turns  # the degree check
     covers = []
     for matching in all_perfect_matchings(m, cap):
         walks = walk_cycles(m, m._all_mask ^ edge_mask(matching))
         if all(len(w) % 2 == 0 for w in walks):
-            covers.append(canonical_cover(walks))
+            covers.append(_sorted_cover(walks))
     return tuple(sorted(covers))
 
 
@@ -150,7 +144,7 @@ def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[L
     lie in three classes, so each labelling is found exactly once.
     """
     _check_cap(m, cap)
-    _check_cubic(m)
+    m._turns  # the degree check of the cover oracle
     every = m._all_mask
     masks = set(_matchings(m))
     # a map with no vertices has one labelling, three empty classes

@@ -1,5 +1,7 @@
 import json
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -95,3 +97,32 @@ def reference_maps() -> dict:
     for i, step in enumerate(grow(cube_map(), cube_seed(), 11, 1)):
         maps[f"cube_seed1_step{i}"] = step.map
     return maps
+
+
+class _Overrun(Exception):
+    """Raised in the block by ``_time_limit``'s alarm."""
+
+
+@contextmanager
+def _time_limit(seconds: float):
+    """Fail the test once ``seconds`` of wall time pass in the block.
+
+    The alarm may fire deep in a recursive search, so the overrun is
+    caught here and reported as a one-line failure with no traceback.
+    """
+    def expire(signum, frame):
+        raise _Overrun
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    overran = False
+    try:
+        yield
+    except _Overrun:
+        overran = True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if overran:
+        # from None: the alarm's exception is still being handled here
+        raise pytest.fail.Exception(f"still running after {seconds} s", pytrace=False) from None

@@ -372,6 +372,33 @@ def test_mutated_documents_keep_exit_code_contract(name, tmp_path, monkeypatch, 
     assert "Traceback" not in "".join(capsys.readouterr())
 
 
+NON_CUBIC_DOCUMENTS = {
+    "four_cycle": {
+        "vertex_edge": [[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],
+        "face_edge": [[1, 1, 1, 1]],
+        "cycles": [[1, 2, 3, 4]],
+    },
+    "quadruple_edge": {
+        "vertex_edge": [[1, 1, 1, 1], [1, 1, 1, 1]],
+        "face_edge": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],
+        "cycles": [[1, 2]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", NON_CUBIC_DOCUMENTS)
+def test_non_cubic_documents_exit_1_on_their_row_counts(name, tmp_path, monkeypatch, capsys):
+    """Walking such a map raises NotTwoRegular, but every command rejects
+    it on ``validate_map``'s row counts before any walk."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(NON_CUBIC_DOCUMENTS[name]))
+    monkeypatch.chdir(tmp_path)
+    assert [main([*command, "--input", str(path)]) for command in COMMANDS] == [1] * len(COMMANDS)
+    out, err = capsys.readouterr()
+    assert (out + err).count("vertex row 1 has") == len(COMMANDS)
+    assert "Traceback" not in out + err
+
+
 # ``json.dumps`` of a value this deep recurses too, so the text is written directly
 DEEP = "[" * 100_000 + "]" * 100_000
 

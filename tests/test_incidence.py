@@ -16,8 +16,12 @@ from cubicmaps import (
     MalformedFace,
     NotACycle,
     NotTwoRegular,
+    all_even_cycle_covers,
+    all_perfect_matchings,
+    canonical_cover,
     canonical_cycle,
     check_cover,
+    cover_closure,
     decompose_two_factor,
     euler_check,
     face_boundary,
@@ -26,10 +30,18 @@ from cubicmaps import (
     order_cycle,
     validate_map,
 )
-from cubicmaps.fixtures import cube_map, tetrahedron_map, theta_map
-from cubicmaps.incidence import edge_mask, face_boundary_walk, mask_edges, walk_cycles
+from cubicmaps.fixtures import cube_map, cube_seed, tetrahedron_map, theta_map
+from cubicmaps.incidence import (
+    edge_mask,
+    face_boundary_walk,
+    mask_cover,
+    mask_edges,
+    walk_cycles,
+)
 
-from conftest import random_insertion_walk
+from conftest import _time_limit, random_insertion_walk, reference_maps
+
+REFERENCE_MAPS = reference_maps()
 
 
 def test_fixture_maps_are_valid(cube, theta):
@@ -237,6 +249,49 @@ def test_face_of_two_cycles_reaches_the_walk(cube):
         face_boundary(m, inner)
 
 
+def _face_lines_by_degree_count(m):
+    """The face lines of ``validate_map`` by the check its face walk
+    replaced: count each vertex's edges in the row, and only if every count
+    is two, walk the row's mask and ask for one cycle."""
+    lines = []
+    for f, edges in m.face_edges.items():
+        degree: dict[int, int] = {}
+        for e in edges:
+            for v in m.edge_vertices[e]:
+                degree[v] = degree.get(v, 0) + 1
+        if set(degree.values()) != {2} or len(walk_cycles(m, edge_mask(edges))) != 1:
+            lines.append(f"face {f} edges do not form one closed boundary")
+    return lines
+
+
+def _cube_with_face_row(row):
+    cube = cube_map()
+    return CubicMap.from_membership(cube.vertex_edges, {**cube.face_edges, 2: row})
+
+
+def test_face_walk_ends_and_agrees_with_the_degree_count():
+    """Every broken face row ends the face walk within its bound, and the
+    walk flags exactly the rows that the degree count and ``face_boundary``
+    flag.  Beyond the one-edge corruptions: cube face 2, (1, 9, 10, 11),
+    plus edge 12, so vertex 1 meets three of its edges (and the walk starts
+    there), and minus edge 9, a path."""
+    grown, _ = random_insertion_walk(theta_map(), 8, random.Random(7))
+    extra = [_cube_with_face_row(row) for row in ((1, 9, 10, 11, 12), (1, 10, 11))]
+    suffix = " edges do not form one closed boundary"
+    tried = 0
+    with _time_limit(10):
+        for m in (cube_map(), theta_map(), tetrahedron_map(), grown):
+            for broken in (*_one_edge_corruptions(m), *extra):
+                lines = [line for line in validate_map(broken) if line.endswith(suffix)]
+                assert lines == _face_lines_by_degree_count(broken)
+                faces = [int(line.removeprefix("face ").removesuffix(suffix)) for line in lines]
+                assert faces == _malformed_faces(broken)
+                tried += 1
+    assert tried > 100
+    assert validate_map(extra[0])[-1] == "face 2" + suffix
+    assert validate_map(extra[1])[-1] == "face 2" + suffix
+
+
 def test_valid_maps_are_checked_without_face_boundary(monkeypatch):
     # built before the count starts, since inserting calls face_boundary
     grown, _ = random_insertion_walk(theta_map(), 8, random.Random(7))
@@ -246,6 +301,53 @@ def test_valid_maps_are_checked_without_face_boundary(monkeypatch):
     for m in (cube_map(), theta_map(), tetrahedron_map(), grown):
         assert validate_map(m) == []
     assert calls == []
+
+
+def _walk_masks(m):
+    """Edge masks to walk on ``m``: each face row, and the 2-factor left by
+    each perfect matching, odd cycles included."""
+    masks = [edge_mask(row) for row in m.face_edges.values()]
+    masks += [m._all_mask ^ edge_mask(matching) for matching in all_perfect_matchings(m)]
+    return masks
+
+
+def _cube_cover_masks():
+    cube = cube_map()
+    closure = cover_closure(cube, check_cover(cube, cube_seed()))
+    covers = (*closure, *all_even_cycle_covers(cube))
+    return [edge_mask(e for cycle in cover for e in cycle) for cover in covers]
+
+
+WALKED = {name: (m, _walk_masks(m)) for name, m in REFERENCE_MAPS.items()}
+WALKED["cube_closure_and_oracle"] = (cube_map(), _cube_cover_masks())
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_walks_come_out_canonical(name):
+    """The reference maps include theta, whose faces are bigons, and maps
+    with parallel edges; the walker's own output is already canonical."""
+    m, masks = WALKED[name]
+    assert masks
+    for mask in masks:
+        walks = walk_cycles(m, mask)
+        assert walks == [canonical_cycle(c) for c in walks]
+        assert mask_cover(m, mask) == canonical_cover(walks)
+        assert edge_mask(e for w in walks for e in w) == mask
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_turn_table_names_the_exits_of_each_dart(name):
+    """Dart 2e + k points to ``edge_vertices[e][k]``; its entry names the
+    other two edges there, each with a dart that leaves that vertex."""
+    m = REFERENCE_MAPS[name]
+    turns = m._turns
+    assert sorted(turns) == [2 * e + k for e in m.edge_ids for k in (0, 1)]
+    for d, (y, dy, z, dz) in turns.items():
+        e, k = divmod(d, 2)
+        v = m.edge_vertices[e][k]
+        assert sorted((e, y, z)) == sorted(m.vertex_edges[v])
+        for x, dx in ((y, dy), (z, dz)):
+            assert dx // 2 == x and m.edge_vertices[x][1 - dx % 2] == v
 
 
 def test_off_edges(cube, theta, cube_cover, theta_cover):

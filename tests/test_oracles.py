@@ -1,7 +1,5 @@
 import itertools
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 
@@ -21,6 +19,7 @@ from cubicmaps import (
     cover_closure,
     decompose_two_factor,
     hamiltonian_covers,
+    order_cycle,
     validate_map,
 )
 from cubicmaps.fixtures import (
@@ -34,7 +33,7 @@ from cubicmaps.labelling import canonical_labelling
 from cubicmaps.oracles import _search_order, face_pairs
 from cubicmaps.serialize import load_map
 
-from conftest import prism, random_insertion_walk, reference_maps
+from conftest import _time_limit, prism, random_insertion_walk, reference_maps
 
 REFERENCE_MAPS = reference_maps()
 
@@ -61,35 +60,6 @@ def _two_thetas() -> CubicMap:
         vertex_edges={1: (1, 2, 3), 2: (1, 2, 3), 3: (4, 5, 6), 4: (4, 5, 6)},
         face_edges={1: (1, 2), 2: (2, 3), 3: (4, 5), 4: (5, 6)},
     )
-
-
-class _Overrun(Exception):
-    """Raised in the block by ``_time_limit``'s alarm."""
-
-
-@contextmanager
-def _time_limit(seconds: float):
-    """Fail the test once ``seconds`` of wall time pass in the block.
-
-    The alarm may fire deep in a recursive search, so the overrun is
-    caught here and reported as a one-line failure with no traceback.
-    """
-    def expire(signum, frame):
-        raise _Overrun
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    overran = False
-    try:
-        yield
-    except _Overrun:
-        overran = True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    if overran:
-        # from None: the alarm's exception is still being handled here
-        raise pytest.fail.Exception(f"still running after {seconds} s", pytrace=False) from None
 
 
 NON_CUBIC_MAPS = {
@@ -121,6 +91,28 @@ def test_even_covers_check_the_two_factor():
     assert len(all_perfect_matchings(quadruple)) == 4
     with _time_limit(2), pytest.raises(NotTwoRegular):
         all_even_cycle_covers(quadruple)
+
+
+@pytest.mark.parametrize(
+    "m, edges",
+    [
+        (NON_CUBIC_MAPS["four_cycle"](), (1, 2, 3, 4)),
+        (CubicMap.from_membership({1: (1, 2, 3, 4), 2: (1, 2, 3, 4)}, {}), (1, 2)),
+    ],
+    ids=["four_cycle", "quadruple_edge"],
+)
+def test_walks_need_three_distinct_edges_at_every_vertex(m, edges):
+    """The edges pass every degree-two check, but the map is not cubic, so
+    it has no turn table to walk them on: each checked walk raises the
+    typed error and names vertex 1, the first that is not cubic."""
+    match = "vertex 1 lists edges"
+    with _time_limit(2):
+        with pytest.raises(NotTwoRegular, match=match):
+            check_cover(m, [edges])
+        with pytest.raises(NotTwoRegular, match=match):
+            decompose_two_factor(m, edges)
+        with pytest.raises(NotTwoRegular, match=match):
+            order_cycle(m, edges)
 
 
 @pytest.mark.parametrize("name", NON_CUBIC_MAPS)
