@@ -27,6 +27,7 @@ from .oracles import (
     compare_cover_sets,
 )
 from .serialize import (
+    _record_json,
     canonical_json,
     load_map,
     map_to_document,
@@ -101,7 +102,7 @@ def cmd_enumerate(args) -> int:
     if args.out:
         doc = trace_documents([step])[0]
         doc = {key: doc[key] for key in ("covers", "labellings", "hamiltonian")}
-        _write(args.out, canonical_json(doc) + "\n")
+        _write(args.out, _record_json(doc) + "\n")
     return 0
 
 

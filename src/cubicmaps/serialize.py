@@ -4,6 +4,10 @@ The map document carries exactly the three user inputs: the two incidence
 matrices and the cycle list of the seed cover.  Ids are positional: matrix
 row i / column j belong to the i-th vertex id / j-th edge id in sorted
 order, so a document is always written with ids renumbered to 1..n.
+
+A growth trace is one line per step: the compact, key-sorted JSON of the
+step's record (``canonical_json``), so its bytes are fixed.  The writer
+builds each line from per-tuple fragments instead of encoding every slot.
 """
 
 from __future__ import annotations
@@ -133,10 +137,54 @@ def trace_documents(steps) -> list[Document]:
     return docs
 
 
+_LABELLING_JSON = '{{"class_1":{},"class_2":{},"class_3":{}}}'.format
+
+
+def _record_json(doc: Document) -> str:
+    """``canonical_json(doc)`` for a trace-shaped document: a record of
+    ``trace_documents``, or a subset of its keys.
+
+    ``covers`` and ``hamiltonian`` are lists of covers (lists of edge
+    tuples), and each ``labellings`` entry holds exactly the three class
+    keys; every other key goes through ``canonical_json``.  Each distinct
+    edge tuple is encoded once per record, as a fragment such as
+    ``[3,7,9]``; edge ids are ints, whose JSON is their ``str``.
+    """
+    # Keyed by id(): trace_documents gives every slot of one distinct tuple
+    # the same tuple object, and doc keeps every tuple alive while it is
+    # encoded, so no id can be reused by another tuple meanwhile.
+    memo: dict[int, str] = {}
+
+    def edges(t) -> str:
+        text = memo.get(id(t))
+        if text is None:
+            text = memo[id(t)] = "[" + ",".join(map(str, t)) + "]"
+        return text
+
+    def cover(c) -> str:
+        return "[" + ",".join(map(edges, c)) + "]"
+
+    def labelling(lab) -> str:
+        return _LABELLING_JSON(edges(lab["class_1"]), edges(lab["class_2"]), edges(lab["class_3"]))
+
+    def covers(cs) -> str:
+        return "[" + ",".join(map(cover, cs)) + "]"
+
+    def labellings(labs) -> str:
+        return "[" + ",".join(map(labelling, labs)) + "]"
+
+    encode = {"covers": covers, "hamiltonian": covers, "labellings": labellings}
+    parts = (f"{canonical_json(key)}:{encode.get(key, canonical_json)(doc[key])}"
+             for key in sorted(doc))
+    return "{" + ",".join(parts) + "}"
+
+
 def write_trace(steps, path) -> None:
+    """Write one JSON line per step: ``canonical_json`` of each record of
+    ``trace_documents(steps)``, so identical steps give identical bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         for doc in trace_documents(steps):
-            fh.write(canonical_json(doc) + "\n")
+            fh.write(_record_json(doc) + "\n")
 
 
 # ---------------------------------------------------------------------

@@ -70,7 +70,7 @@ from cubicmaps.fixtures import (
     theta_seed,
     wheel_rotation,
 )
-from cubicmaps.serialize import canonical_json, trace_documents
+from cubicmaps.serialize import canonical_json, trace_documents, write_trace
 
 CORPUS_SEEDS = range(1, 101)
 CORPUS_ITERATIONS = 14  # theta grows from 3 to 45 edges
@@ -197,22 +197,27 @@ def corpus():
     return entries, elapsed
 
 
-def _trace_sha256(runs) -> str:
-    """sha256 of the trace lines of each run in turn (each run is a list
-    of growth steps)."""
-    h = hashlib.sha256()
+def _trace_sha256(runs, tmp_path) -> str:
+    """sha256 of the trace files ``write_trace`` writes for each run in turn
+    (each run is a list of growth steps).  ``canonical_json`` of each run's
+    ``trace_documents`` must give the same bytes."""
+    written, documents = hashlib.sha256(), hashlib.sha256()
+    path = tmp_path / "trace.jsonl"
     for steps in runs:
+        write_trace(steps, path)
+        written.update(path.read_bytes())
         for doc in trace_documents(steps):
-            h.update((canonical_json(doc) + "\n").encode())
-    return h.hexdigest()
+            documents.update((canonical_json(doc) + "\n").encode())
+    assert written.hexdigest() == documents.hexdigest()
+    return written.hexdigest()
 
 
-def test_corpus_trace_digest(corpus):
+def test_corpus_trace_digest(corpus, tmp_path):
     entries, _ = corpus
     runs = {}
     for e in entries:
         runs.setdefault(e.seed, []).append(e.growth_step)
-    assert _trace_sha256(runs.values()) == CORPUS_TRACE_SHA256
+    assert _trace_sha256(runs.values(), tmp_path) == CORPUS_TRACE_SHA256
 
 
 def test_corpus_oracle_digest(corpus):
@@ -225,9 +230,9 @@ def test_corpus_oracle_digest(corpus):
     assert h.hexdigest() == CORPUS_ORACLE_SHA256
 
 
-def test_cube_trace_digest():
+def test_cube_trace_digest(tmp_path):
     steps = grow(cube_map(), cube_seed(), iterations=20, rng_seed=1)
-    assert _trace_sha256([steps]) == CUBE_TRACE_SHA256
+    assert _trace_sha256([steps], tmp_path) == CUBE_TRACE_SHA256
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:

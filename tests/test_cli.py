@@ -10,8 +10,15 @@ import cubicmaps.cli as cli
 import cubicmaps.oracles as oracles
 from cubicmaps.cli import main
 from cubicmaps.fixtures import fixture_path, theta_map
-from cubicmaps.incidence import validate_map
-from cubicmaps.serialize import canonical_json, load_map, map_from_document, map_to_document
+from cubicmaps.growth import growth_step
+from cubicmaps.incidence import check_cover, validate_map
+from cubicmaps.serialize import (
+    canonical_json,
+    load_map,
+    map_from_document,
+    map_to_document,
+    trace_documents,
+)
 
 from conftest import prism, random_insertion_walk
 
@@ -64,6 +71,17 @@ def test_enumerate_cube(cube_file, capsys, tmp_path):
     assert len(doc["covers"]) == 9
     assert len(doc["hamiltonian"]) == 6
     assert len(doc["labellings"]) == 4
+
+
+@pytest.mark.parametrize("name", ["cube", "two_kempe_classes"])
+def test_enumerate_out_is_canonical_json_of_the_trace_subset(name, tmp_path):
+    path = fixture_path(f"{name}.json")
+    out = tmp_path / "enum.json"
+    assert main(["enumerate", "--input", str(path), "--out", str(out)]) == 0
+    m, cycles = load_map(path)
+    record = trace_documents([growth_step(m, check_cover(m, cycles))])[0]
+    subset = {key: record[key] for key in ("covers", "labellings", "hamiltonian")}
+    assert out.read_bytes() == (canonical_json(subset) + "\n").encode()
 
 
 def test_enumerate_theta(theta_file, capsys):

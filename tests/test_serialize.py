@@ -5,6 +5,7 @@ import pytest
 from cubicmaps import CubicMap, grow, map_from_document, map_to_document, to_dot
 from cubicmaps.fixtures import cube_map, cube_seed, fixture_path, theta_map, theta_seed
 from cubicmaps.serialize import (
+    _record_json,
     canonical_json,
     load_map,
     map_fingerprint,
@@ -159,6 +160,59 @@ def test_write_trace_matches_edge_by_edge_reference(cube_42_steps, tmp_path):
         # compared record by record: a diff of megabyte lines would not end
         differ = [i for i, (a, b) in enumerate(zip(written, expected)) if a != b]
         assert len(written) == len(expected) == 21 and not differ, f"records {differ} differ"
+
+
+@pytest.fixture(scope="module")
+def grow_cube_documents(cube_42_steps):
+    """The records of the benchmark's three traced runs: cube seeds 42, 13
+    and 16, grown 20 times each."""
+    runs = [cube_42_steps] + [grow(cube_map(), cube_seed(), iterations=20, rng_seed=seed)
+                              for seed in (13, 16)]
+    return [doc for steps in runs for doc in trace_documents(steps)]
+
+
+def _hand_built_records():
+    """Trace-shaped documents that growth does not produce: empty lists, no
+    insertion, equal tuples that are distinct objects, one tuple object in
+    every kind of slot, and the ``enumerate --out`` subset."""
+    equal = (1, 2, 3)
+    twin = tuple([1, 2, 3])
+    assert equal == twin and equal is not twin
+    shared, rest = (1, 2, 3, 4), (5, 6)
+    empty_map = {"vertex_edge": [], "face_edge": [], "cycles": []}
+    return [
+        {"step": 0, "map": empty_map, "covers": [], "labellings": [], "hamiltonian": [],
+         "insertion": None},
+        {"step": 1, "map": dict(empty_map, cycles=[equal]), "covers": [[equal], [twin]],
+         "labellings": [{"class_1": twin, "class_2": equal, "class_3": (4,)}],
+         "hamiltonian": [[twin]], "insertion": None},
+        {"step": 2, "map": dict(empty_map, cycles=[shared, rest]), "covers": [[shared, rest]],
+         "labellings": [{"class_1": rest, "class_2": shared, "class_3": shared}],
+         "hamiltonian": [[shared]],
+         "insertion": {"face": 1, "targets": [2, 2], "new_vertices": [7, 8], "new_edge": 9,
+                       "split_edges": {"2": [2, 10, 11]}, "new_face": 3}},
+        {"covers": [[shared, rest]], "labellings": [{"class_1": rest, "class_2": shared,
+                                                     "class_3": shared}],
+         "hamiltonian": []},
+    ]
+
+
+def test_record_json_is_canonical_json(grow_cube_documents):
+    subsets = [{key: doc[key] for key in ("covers", "labellings", "hamiltonian")}
+               for doc in grow_cube_documents]
+    documents = grow_cube_documents + subsets + _hand_built_records()
+    differ = [i for i, doc in enumerate(documents) if _record_json(doc) != canonical_json(doc)]
+    assert len(grow_cube_documents) == 63 and not differ, f"documents {differ} differ"
+
+
+def test_trace_documents_share_one_object_per_distinct_tuple(cube_42_steps):
+    """``write_trace`` encodes each tuple object once per record, so its
+    speed rests on this sharing; the bytes would stay right without it."""
+    for doc in trace_documents(cube_42_steps):
+        slots = [t for cover in doc["covers"] + doc["hamiltonian"] for t in cover]
+        slots += [t for lab in doc["labellings"] for t in lab.values()]
+        slots += doc["map"]["cycles"]
+        assert len({id(t) for t in slots}) == len(set(slots)), doc["step"]
 
 
 def test_trace_documents_reference_consistent_ids():
