@@ -80,27 +80,34 @@ def successor_covers(m: CubicMap, cover: Cover) -> set[Cover]:
 
 class Closure(tuple):
     """The sorted covers of a closure, carrying the ``map`` it was built on
-    and its covers' labellings as sorted class-mask triples (``label_masks``)."""
+    and its covers' labellings as class-mask triples (``label_masks``): one
+    ``_reselect`` triple per labelling, in worklist order."""
 
 
 def cover_closure(m: CubicMap, seed: Cover) -> Closure:
     """Closure of the seed cover under the reselection step.
 
-    Worklist iteration keyed by each cover's on-edge mask: each pick of a
-    cover is recorded as a labelling, and its two successor masks are
-    decomposed into cycles only when new.  Stops when no new cover
-    appears.  The result contains the seed and is sorted canonically, so
-    it is independent of traversal schedule.  Raises IterationLimit if the
-    closure exceeds ``DEFAULT_CLOSURE_LIMIT`` covers, read at call time
+    Worklist iteration keyed by each cover's on-edge mask: the two
+    successor masks of each pick are decomposed into cycles only when new.
+    A cover's picks are recorded as labellings only when its off class
+    holds the map's top edge: a labelling is a pick of exactly its three
+    covers (one per class left off), and the top edge lies in one of its
+    classes, so each labelling is recorded exactly once.  Stops when no new
+    cover appears.  The result contains the seed and is sorted canonically,
+    so it is independent of traversal schedule.  Raises IterationLimit if
+    the closure exceeds ``DEFAULT_CLOSURE_LIMIT`` covers, read at call time
     (pathological input, far beyond anything a desk-scale map produces).
     """
     seed = check_cover(m, seed)
     seen = {edge_mask(e for cycle in seed for e in cycle): seed}
-    labels = set()
+    top = 1 << (m._all_mask.bit_length() - 1)
+    labels = []
     queue = deque([seed])
     while queue:
-        for p, q, off in _reselect(m, queue.popleft()):
-            labels.add(tuple(sorted((p, q, off))))
+        triples = _reselect(m, queue.popleft())
+        if triples[0][2] & top:
+            labels += triples
+        for p, q, off in triples:
             for s in (p | off, q | off):
                 if s not in seen:
                     seen[s] = new = mask_cover(m, s)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import InvalidCover, MalformedFace, NotACycle, NotTwoRegular
@@ -31,6 +32,9 @@ FaceKey = int | str
 
 # key of the outer face, which has no face-edge row
 OUTER = "outer"
+
+# binary digits to 0/1 bytes, the selectors of ``mask_edges``
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class CubicMap:
@@ -383,13 +387,14 @@ def edge_mask(edges: Iterable[int]) -> int:
 
 
 def mask_edges(mask: int) -> tuple[int, ...]:
-    """The sorted edge ids of an edge mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The sorted edge ids of an edge mask.
+
+    The binary digits, lowest first, become 0/1 selector bytes for
+    ``compress``, so the bits are read in C.  The tuple is built from a
+    list: ``tuple`` over the iterator itself over-allocates.
+    """
+    bits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
+    return tuple(list(compress(count(), bits)))
 
 
 def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
@@ -417,15 +422,18 @@ def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
             z, dz = y, dy
         if z < x:
             x, d = z, dz
+        # clear each edge's bit as it is walked, and e's at the end: e is the
+        # one walked edge the walk meets again, as its last step's exit
         walk = [e]
         while x != e:
             walk.append(x)
+            mask ^= 1 << x
             y, dy, z, dz = turns[d]
             if mask >> y & 1:
                 x, d = y, dy
             else:
                 x, d = z, dz
-        mask ^= edge_mask(walk)
+        mask ^= 1 << e
         cycles.append(tuple(walk))
     return cycles
 

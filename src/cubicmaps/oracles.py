@@ -3,11 +3,11 @@
 The enumerators are independent of the closure engine: perfect matchings
 by vertex-order backtracking, even cycle covers by matching
 complementation (a 2-factor of a cubic graph is exactly the complement
-of a perfect matching), and proper labellings by joining matchings (each
-class of a proper 3-edge-labelling meets every vertex once, so a
-labelling is three disjoint perfect matchings).  The matching search is
-their one search.  They exist to *check* the fast path, so they share
-none of its search logic.
+of a perfect matching), and proper labellings by splitting complements
+(each class of a proper 3-edge-labelling meets every vertex once, so a
+labelling is a perfect matching plus a split of its 2-factor complement
+into two more).  The matching search is their one search.  They exist to
+*check* the fast path, so they share none of its search or pick logic.
 
 Input contract: every edge has two distinct ends (``CubicMap.edge_vertices``
 raises NotTwoRegular otherwise), so matchings are found on any loop-free
@@ -30,7 +30,10 @@ lowest id, so each vertex it matches, bar the first of a component, has
 a neighbour already matched.  It holds the covered vertices as an
 integer bitmask over the positions of that order, and returns each
 matching as an edge mask.  ``all_perfect_matchings`` converts the masks
-to edge sets, and the labelling join works on them as they are.
+to edge sets.  The labelling oracle searches only the matchings that hold
+the first vertex's first edge, splits each all-even complement into its
+cycles' alternating halves on masks, and converts each distinct class
+mask to edges once.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Iterable
 from .closure import cover_closure
 from .errors import CapExceeded
 from .incidence import Cover, CubicMap, _sorted_cover, edge_mask, mask_edges, walk_cycles
-from .labelling import Labelling, canonical_labelling
+from .labelling import Labelling
 from .serialize import map_fingerprint
 
 DEFAULT_ORACLE_CAP = 45
@@ -72,8 +75,9 @@ def _search_order(m: CubicMap) -> list[int]:
     return order
 
 
-def _matchings(m: CubicMap) -> list[int]:
-    """The edge mask of every perfect matching, unsorted.
+def _matchings(m: CubicMap, _anchored: bool = False) -> list[int]:
+    """The edge mask of every perfect matching, unsorted; with ``_anchored``,
+    only those that hold the first vertex's first edge.
 
     Backtracks over the vertices in ``_search_order``, so each vertex to
     match, bar the first of a component, has a neighbour already matched
@@ -88,6 +92,8 @@ def _matchings(m: CubicMap) -> list[int]:
         bit[v]: [(1 << e, bit[m.other_endpoint(e, v)]) for e in es]
         for v, es in m.vertex_edges.items()
     }
+    if _anchored and options:
+        options[1] = options[1][:1]  # bit 1 is the lowest vertex id
     full = (1 << m.n_vertices) - 1
     out: list[int] = []
 
@@ -136,26 +142,31 @@ def all_even_cycle_covers(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[C
 def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Labelling, ...]:
     """Every proper 3-edge-labelling up to role permutation, sorted.
 
-    On a cubic map each class meets every vertex once, so a labelling is
-    three disjoint perfect matchings.  Over the edge masks of
-    ``_matchings``, the join keeps each pair (p, q) where p holds the first
-    vertex's first edge, q its second, p and q are disjoint and the
-    remaining edges form a matching too.  The first vertex's three edges
-    lie in three classes, so each labelling is found exactly once.
+    On a cubic map each class meets every vertex once, so a labelling is a
+    perfect matching plus a split of its complement, a spanning 2-factor,
+    into two more matchings (Tait).  Such a split exists iff every cycle of
+    the complement is even, and then takes one alternating half of each
+    cycle: 2**(c-1) splits up to order for c cycles.  Only the matchings
+    that hold the first vertex's first edge are searched, and the class
+    holding that edge is unique, so each labelling is found exactly once.
+    Each distinct class mask is converted to edges once.
     """
     _check_cap(m, cap)
     m._turns  # the degree check of the cover oracle
-    every = m._all_mask
-    masks = set(_matchings(m))
-    # a map with no vertices has one labelling, three empty classes
-    a, b = (1 << e for e in m.vertex_edges[m.vertex_ids[0]][:2]) if m.vertex_ids else (0, 0)
-    second = [q for q in masks if q & b == b]
-    found = [
-        canonical_labelling(map(mask_edges, (p, q, every ^ p ^ q)))
-        for p in masks if p & a == a
-        for q in second if not p & q and every ^ p ^ q in masks
-    ]
-    return tuple(sorted(found))
+    found = []
+    for p in _matchings(m, _anchored=True):
+        cycles = walk_cycles(m, m._all_mask ^ p)
+        if any(len(c) % 2 for c in cycles):
+            continue
+        # the first cycle's even positions always go to x, so each split
+        # (x, y) is listed once, not once per order
+        splits = [(0, 0)]
+        for i, cycle in enumerate(cycles):
+            a, b = edge_mask(cycle[0::2]), edge_mask(cycle[1::2])
+            splits = [(x | a, y | b) for x, y in splits] + [(x | b, y | a) for x, y in splits if i]
+        found += [(p, x, y) for x, y in splits]
+    edges = {c: mask_edges(c) for c in {c for classes in found for c in classes}}
+    return tuple(sorted(tuple(sorted(map(edges.__getitem__, classes))) for classes in found))
 
 
 @dataclass(frozen=True)

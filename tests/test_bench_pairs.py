@@ -142,8 +142,9 @@ def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch)
                             ("change", "grow_cube", 2, 0), ("parent", "grow_cube", 2, 0)]
     assert [c[1] for c in untraced[::4]] == workloads
     assert len(doc["runs"]) == len(untraced) == 2 * 2 * len(workloads)
+    # the two sides' traced runs of each workload come back to back
     assert [c for c in calls if c[3] == 1] == [
-        (side, w, tool.TRACE_SEED, 1) for side in ("parent", "change") for w in workloads]
+        (side, w, tool.TRACE_SEED, 1) for w in workloads for side in ("parent", "change")]
     assert "--seconds 7 " in doc["command"]
     assert {run["exit"] for run in doc["runs"]} == {0}
     assert doc["trace"]["change"]["grow_cube"] == {
@@ -152,6 +153,21 @@ def test_main_alternates_sides_and_writes_every_run(tool, tmp_path, monkeypatch)
     assert {w: s["correct"] for w, s in doc["summary"].items()} == {
         "grow_cube": True, "corpus_check": True, "insert_walk": False, "fourth": True}
     assert doc["claim"]["pairs_won"] == 2 and doc["summary"]["insert_walk"]["pairs"] == 2
+
+
+def test_traced_entry_divides_layer_times_by_the_reference_time(tool):
+    metrics = {"wall_s": 0.3, "closure.cover_closure.s": 0.06, "oracles.matchings": 4804,
+               "cli.main.s": 0.0, "machine.ref_s": 0.03}
+    result = {"correct": True, "failed": 0,
+              "metrics": {name: {"value": v, "unit": "s"} for name, v in metrics.items()}}
+    entry = tool.traced_entry(0, result)
+    assert entry == {"exit": 0, "correct": True, "failed": 0, **metrics,
+                     "per_ref_s": {"closure.cover_closure.s": 2.0, "cli.main.s": 0.0}}
+    # a run that measured no reference time, or printed no metrics, has none
+    del result["metrics"]["machine.ref_s"]
+    assert "per_ref_s" not in tool.traced_entry(0, result)
+    assert tool.traced_entry(1, {"error": "boom"}) == {
+        "exit": 1, "correct": None, "failed": None, "error": "boom"}
 
 
 @pytest.mark.parametrize("claim", [

@@ -15,10 +15,10 @@ from cubicmaps import (
     off_edges,
     successor_covers,
 )
-from cubicmaps import closure
-from cubicmaps.fixtures import cube_map, theta_map, wheel_rotation
+from cubicmaps import all_even_cycle_covers, closure, grow
+from cubicmaps.fixtures import cube_map, cube_seed, theta_map, wheel_rotation
 
-from conftest import grown_cube, random_insertion_walk
+from conftest import grown_cube, random_insertion_walk, reference_maps
 
 
 def test_alternating_halves(cube_cover):
@@ -101,13 +101,34 @@ def test_closure_seed_independent_within_component(cube, cube_cover):
 def test_closure_on_grown_map_is_schedule_free():
     rng = random.Random(5)
     m, _ = random_insertion_walk(theta_map(), 6, rng)
-    from cubicmaps import all_even_cycle_covers
-
     covers = all_even_cycle_covers(m)
     # closures from any two seeds of one closure agree exactly
     first = cover_closure(m, covers[0])
     for seed in first:
         assert cover_closure(m, seed) == first
+
+
+def _recorded_closures():
+    """Name -> closure: of the first oracle cover of every reference map,
+    and of every step of cube growth seeds 42, 13 and 16 x 20."""
+    closures = {}
+    for name, m in reference_maps().items():
+        closures[name] = cover_closure(m, all_even_cycle_covers(m)[0])
+    for seed in (42, 13, 16):
+        for i, step in enumerate(grow(cube_map(), cube_seed(), 20, seed)):
+            closures[f"cube_seed{seed}_step{i}"] = step.covers
+    return closures
+
+
+def test_closure_records_each_labelling_once():
+    for name, found in _recorded_closures().items():
+        triples = found.label_masks
+        # the top edge lies in one class of each labelling, so only one of
+        # its three covers records it
+        assert len({frozenset(t) for t in triples}) == len(triples), name
+        # each cover of c cycles has 2**(c-1) picks, and every labelling is
+        # a pick of three covers of the closure
+        assert sum(2 ** (len(c) - 1) for c in found) == 3 * len(triples), name
 
 
 def test_iteration_limit(cube, cube_cover, monkeypatch):

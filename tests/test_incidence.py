@@ -149,6 +149,19 @@ def test_masks_are_keyed_by_edge_id():
     assert walk[0] == min(cycle) and canonical_cycle(walk) == cycle
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_mask_edges_round_trips(seed):
+    rng = random.Random(seed)
+    sets = [set(), {0}, {600}]
+    sets += [set(rng.sample(range(601), rng.randrange(0, 120))) for _ in range(200)]
+    for edges in sets:
+        mask = edge_mask(edges)
+        assert mask_edges(mask) == tuple(sorted(edges))
+        assert edge_mask(mask_edges(mask)) == mask
+    for mask in (0, 1, 2**600, 2**601 - 1, rng.getrandbits(600)):
+        assert edge_mask(mask_edges(mask)) == mask
+
+
 def test_face_boundary_quads(cube):
     assert face_boundary(cube, 2) == (1, 9, 10, 11)
     assert face_boundary(cube, 4) == (3, 4, 5, 6)

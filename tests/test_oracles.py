@@ -244,6 +244,20 @@ def test_matchings_past_the_cap_within_seconds():
         assert len(all_perfect_matchings(m, cap=10**9)) == 34_883
 
 
+def test_labellings_past_the_cap_within_seconds():
+    """Cube + 30 random insertions, 102 edges: one matching search and one
+    complement walk per matching that holds the first edge, where joining
+    pairs of matchings took about 45 s."""
+    m, _ = random_insertion_walk(cube_map(), 30, random.Random(13))
+    assert m.n_edges == 102
+    with _time_limit(10):
+        assert len(all_proper_labellings(m, cap=10**9)) == 4_480
+    # the split identity, against the cover oracle
+    covers = all_even_cycle_covers(m, cap=10**9)
+    assert len(covers) == 2_096
+    assert sum(2 ** (len(c) - 1) for c in covers) == 13_440 == 3 * 4_480
+
+
 def test_even_cycle_covers(cube, theta):
     covers = all_even_cycle_covers(cube)
     assert len(covers) == 9
@@ -263,12 +277,13 @@ def test_proper_labellings(cube, theta):
     assert all_proper_labellings(CubicMap.from_membership({}, {})) == (((), (), ()),)
 
 
-def test_split_identity_relates_covers_and_labellings(cube):
+def test_split_identity_relates_covers_and_labellings():
     # each cover with k cycles carries 2**(k-1) splits; summed over covers
     # this counts every labelling exactly three times (its three pairings)
-    covers = all_even_cycle_covers(cube)
-    labellings = all_proper_labellings(cube)
-    assert sum(2 ** (len(c) - 1) for c in covers) == 3 * len(labellings)
+    for name, m in REFERENCE_MAPS.items():
+        covers = all_even_cycle_covers(m)
+        labellings = all_proper_labellings(m)
+        assert sum(2 ** (len(c) - 1) for c in covers) == 3 * len(labellings), name
 
 
 def test_incidence_between_covers_and_labellings(cube, theta):

@@ -13,13 +13,16 @@ runs
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
 with S the file's ``run_seconds``, from its own tree, one run at a time;
-odd pairs run the parent first, even pairs the change.  Each side then
-makes one traced run per workload (``--seed 3 --seconds 15 --trace 1``)
-for the per-layer metrics.
+odd pairs run the parent first, even pairs the change.  Then each
+workload gets one traced run per side (``--seed 3 --seconds 15 --trace
+1``) for the per-layer metrics, the two sides back to back.
 
 The output keeps every run's exit code and result line (the last line
 ``perfbench/run.py`` prints), each traced run's exit code, ``correct`` and
-``failed`` next to its metrics, and a summary per workload and end-to-end
+``failed`` next to its metrics, and each traced layer time (``*.s``)
+divided by that run's ``machine.ref_s`` (``per_ref_s``), so that two
+traced runs made at different machine speeds can be compared.  Last
+comes a summary per workload and end-to-end
 metric: medians, interquartile ranges (``statistics.quantiles``, exclusive
 method), ranges, the number of pairs in which the change was better, and
 whether the change's median is worse than the parent's by more than the
@@ -91,10 +94,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
 
 def traced_entry(exit_code: int, result: dict) -> dict:
     """A traced run as the output keeps it: its exit code, ``correct`` and
-    ``failed``, then each metric's value (or the ``error`` entry)."""
+    ``failed``, then each metric's value (or the ``error`` entry), and, when
+    the run measured a positive ``machine.ref_s``, ``per_ref_s``: each
+    ``*.s`` metric divided by it."""
     metrics = {name: m["value"] for name, m in result.get("metrics", {}).items()}
-    return {"exit": exit_code, "correct": result.get("correct"), "failed": result.get("failed"),
-            **(metrics or {"error": result.get("error")})}
+    entry = {"exit": exit_code, "correct": result.get("correct"), "failed": result.get("failed"),
+             **(metrics or {"error": result.get("error")})}
+    ref = metrics.get("machine.ref_s")
+    if ref:
+        entry["per_ref_s"] = {name: round(value / ref, 4) for name, value in metrics.items()
+                              if name.endswith(".s")}
+    return entry
 
 
 def _passed(exit_code: int, result: dict) -> bool:
@@ -242,11 +252,13 @@ def main(argv=None) -> int:
         doc["trace"] = {
             "command": f"python3 perfbench/run.py --workload W --seed {TRACE_SEED} "
                        f"--seconds {TRACE_SECONDS} --trace 1",
-            "note": "one traced run per side; per-pass layer metrics, single samples",
+            "note": "one traced run per side and workload, the sides back to back; "
+                    "per-pass layer metrics, single samples; per_ref_s: each *.s "
+                    "metric divided by the run's machine.ref_s",
+            "parent": {}, "change": {},
         }
-        for side in ("parent", "change"):
-            doc["trace"][side] = {}
-            for workload in workloads:
+        for workload in workloads:
+            for side in ("parent", "change"):
                 code, result = run_once(trees[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
                 doc["trace"][side][workload] = traced_entry(code, result)
                 save()
