@@ -13,7 +13,8 @@ Cycles are walked on a turn table that each map builds from its own
 vertex rows (``CubicMap._turns``): a step of ``walk_cycles`` is one table
 lookup and one bit test, and every walk starts at its lowest edge toward
 the lower neighbour, so it comes out canonical and a cover of walks needs
-only sorting.  ``validate_map`` walks each face once on the same table.
+only sorting.  The one cycle test, ``_one_cycle``, walks an edge set once
+on the same table, for ``validate_map``'s face rows and ``order_cycle``.
 """
 
 from __future__ import annotations
@@ -324,24 +325,21 @@ def validate_map(m: CubicMap) -> list[str]:
         if k not in (0, 2):
             report.append(f"vertex {v} touches {k} external edges (expected 0 or 2)")
     for f, edges in m.face_edges.items():
-        if not _one_closed_boundary(m, edges):
+        if not _one_cycle(m, edge_mask(edges)):
             report.append(f"face {f} edges do not form one closed boundary")
     return report
 
 
-def _one_closed_boundary(m: CubicMap, edges: tuple[int, ...]) -> bool:
-    """Whether distinct known edges form one cycle, as ``face_boundary``
-    checks, without building the canonical cycle it returns.
-
-    One walk from the first edge, of at most ``len(edges)`` steps: at each
-    vertex exactly one of the two exits must be one of the edges, and the
-    walk must close on the first edge after exactly ``len(edges)`` steps.
-    """
-    if not edges:
+def _one_cycle(m: CubicMap, mask: int) -> bool:
+    """Whether a mask of the map's edges is one cycle: one walk from the
+    lowest edge, in which at each vertex exactly one of the two exits must
+    be in the mask, closing on that edge after exactly ``mask.bit_count()``
+    steps.  The empty mask is not a cycle."""
+    if not mask:
         return False
-    turns, mask, first = m._turns, edge_mask(edges), edges[0]
+    turns, n, first = m._turns, mask.bit_count(), (mask & -mask).bit_length() - 1
     d = 2 * first
-    for step in range(1, len(edges) + 1):
+    for step in range(1, n + 1):
         y, dy, z, dz = turns[d]
         on_y = mask >> y & 1
         if on_y == mask >> z & 1:
@@ -351,7 +349,7 @@ def _one_closed_boundary(m: CubicMap, edges: tuple[int, ...]) -> bool:
         else:
             x, d = z, dz
         if x == first:
-            return step == len(edges)
+            return step == n
     return False
 
 
@@ -401,13 +399,13 @@ def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
     """Split an edge mask into its canonical cycles.
 
     The only cycle walker of the package.  Every vertex the mask touches
-    must meet exactly two of its edges; callers check that with
-    ``_degree_two_mask`` (or, like the closure and the cover oracle, build
-    only such masks).  Each step is one lookup in the map's turn table
-    (``CubicMap._turns``, built from its own rows) and one bit test.  Each
-    cycle starts at its lowest edge id and leaves it toward the lower of its
-    two neighbours, so it comes out in ``canonical_cycle`` form, and cycles
-    come out in order of their lowest edge id.
+    must meet exactly two of its edges, or the walk need not end: callers
+    check with ``_one_cycle`` or ``_two_factor_mask``, or build 2-factors
+    (closure successors, oracle matching complements).  Each step is one
+    lookup in the map's turn table (``CubicMap._turns``) and one bit test.
+    Each cycle starts at its lowest edge id and leaves it toward the lower
+    of its two neighbours, so it comes out in ``canonical_cycle`` form, and
+    cycles come out in order of their lowest edge id.
     """
     turns = m._turns
     cycles = []
@@ -449,53 +447,49 @@ def _sorted_cover(walks: list[Cycle]) -> Cover:
     return tuple(sorted(walks, key=len))
 
 
-def _degree_two_mask(
-    m: CubicMap, edges: Iterable[int], error: type[Exception], spanning: bool = False
-) -> int:
-    """Edge mask of an edge set in which every vertex meets exactly two edges.
-
-    The one raising degree check of the package.  Checks the vertices the
-    edges touch, or with ``spanning`` every vertex of the map in id order,
-    and raises ``error`` at the first edge that is not an edge id of the map
-    (floats, booleans, strings and unhashable values are not ids), at the
-    first offending vertex, or if an edge is listed twice.
-    """
+def _edge_set_mask(m: CubicMap, edges: Iterable[int], error: type[Exception]) -> int:
+    """Edge mask of distinct edge ids of the map; raises ``error`` at the
+    first edge that is not one (floats, booleans, strings and unhashable
+    values are not ids), or if an edge is listed twice."""
     ends = m.edge_vertices
-    degree = dict.fromkeys(m.vertex_ids, 0) if spanning else {}
-    mask = 0
-    for e in edges:
+    mask = n = 0
+    for n, e in enumerate(edges, start=1):
         if type(e) is not int or e not in ends:
             raise error(f"unknown edge id {e!r}")
         mask |= 1 << e
-        for v in ends[e]:
-            degree[v] = degree.get(v, 0) + 1
-    for v, d in degree.items():
+    if mask.bit_count() != n:
+        raise error("an edge is listed twice")
+    return mask
+
+
+def _two_factor_mask(m: CubicMap, edges: Iterable[int], error: type[Exception]) -> int:
+    """``_edge_set_mask`` of a 2-factor: raises ``error`` at the first
+    vertex, in id order, that does not meet exactly two of the edges."""
+    mask = _edge_set_mask(m, edges, error)
+    for v, es in m.vertex_edges.items():
+        d = sum(mask >> e & 1 for e in es)
         if d != 2:
             raise error(f"vertex {v} meets {d} of the edges (expected 2)")
-    # k vertices of degree two meet k edges, counted with repeats; an edge
-    # listed twice would also leave ``walk_cycles`` a vertex of degree one
-    if mask.bit_count() != len(degree):
-        raise error("an edge is listed twice")
     return mask
 
 
 def order_cycle(m: CubicMap, edge_set: Iterable[int]) -> Cycle:
     """Order an unordered edge set into its canonical closed-walk sequence.
 
-    Every touched vertex must have induced degree exactly 2 and the edges
-    must form one cycle; raises NotACycle otherwise.
+    NotACycle unless the edges are distinct edge ids of the map that form
+    one cycle by ``_one_cycle``, the face test of ``validate_map``.
     """
-    mask = _degree_two_mask(m, edge_set, NotACycle)
+    mask = _edge_set_mask(m, edge_set, NotACycle)
     if not mask:
         raise NotACycle("empty edge set")
-    walks = walk_cycles(m, mask)
-    if len(walks) > 1:
-        raise NotACycle("edge set is disconnected")
-    return walks[0]
+    if not _one_cycle(m, mask):
+        raise NotACycle("the edges do not form one cycle")
+    return walk_cycles(m, mask)[0]
 
 
 def face_boundary(m: CubicMap, face: int) -> Cycle:
-    """Edges of an internal face in canonical boundary order."""
+    """Edges of an internal face in canonical boundary order; MalformedFace
+    unless ``order_cycle`` orders its row, by ``validate_map``'s face test."""
     edges = m.face_edges.get(face)
     if edges is None:
         raise MalformedFace(f"face {face} is not a row of the face-edge matrix")
@@ -540,7 +534,7 @@ def decompose_two_factor(m: CubicMap, on_edges: Iterable[int]) -> Cover:
     set (NotTwoRegular otherwise).  Cycles come out canonical, sorted by
     (length, sequence).
     """
-    return mask_cover(m, _degree_two_mask(m, on_edges, NotTwoRegular, spanning=True))
+    return mask_cover(m, _two_factor_mask(m, on_edges, NotTwoRegular))
 
 
 def canonical_cover(cover: Iterable[Sequence[int]]) -> Cover:
@@ -561,7 +555,7 @@ def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
     if not cover:
         raise InvalidCover("cover has no cycles")
     edges = [e for cycle in cover for e in cycle]
-    mask = _degree_two_mask(m, edges, InvalidCover, spanning=True)
+    mask = _two_factor_mask(m, edges, InvalidCover)
     walks = walk_cycles(m, mask)
     if {frozenset(w) for w in walks} != {frozenset(c) for c in cover}:
         raise InvalidCover("the given cycles are not the cycles of their union")
