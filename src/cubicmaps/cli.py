@@ -132,10 +132,10 @@ def cmd_check(args) -> int:
     if args.cap < 0:
         raise _CliFailure(2, f"--cap must be >= 0, got {args.cap}")
     # one oracle enumeration serves both conjectures; its cap check (exit 4)
-    # comes before the cover check (exit 1)
+    # comes before the closure's cover check (exit 1)
     oracle = all_even_cycle_covers(m, args.cap)
     reports = [
-        compare_cover_sets(m, cover_closure(m, check_cover(m, cycles)), oracle),
+        compare_cover_sets(m, cover_closure(m, cycles), oracle),
         check_shared_cycle(m, covers=oracle),
     ]
     for rep in reports:

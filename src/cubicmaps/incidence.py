@@ -202,10 +202,6 @@ class CubicMap:
         return tuple(tree)
 
     @cached_property
-    def all_edges(self) -> frozenset[int]:
-        return frozenset(self.edge_ids)
-
-    @cached_property
     def _all_mask(self) -> int:
         """The edge mask of every edge (see ``edge_mask``)."""
         return edge_mask(self.edge_ids)
@@ -293,9 +289,8 @@ def validate_map(m: CubicMap) -> list[str]:
     bad_ids = [e for e in m.edge_ids if type(e) is not int or e < 0]
     if bad_ids:
         report.append(f"edge ids {bad_ids} are not non-negative integers")
-    known = m.all_edges
     for f, edges in m.face_edges.items():
-        unknown = [e for e in edges if e not in known]
+        unknown = [e for e in edges if e not in m._edge_ends]
         if unknown:
             report.append(f"face row {f} lists edges {unknown} that no vertex meets")
     if report:
@@ -524,7 +519,7 @@ def face_boundary_walk(m: CubicMap, face: int) -> list[tuple[int, int]]:
 
 def off_edges(m: CubicMap, cover: Cover) -> frozenset[int]:
     """Edges on no cycle of the cover: exactly V/2 of them for a valid cover."""
-    return m.all_edges - {e for cycle in cover for e in cycle}
+    return frozenset(m.edge_ids).difference(e for cycle in cover for e in cycle)
 
 
 def decompose_two_factor(m: CubicMap, on_edges: Iterable[int]) -> Cover:

@@ -27,12 +27,12 @@ def canonical_labelling(classes: Iterable[Iterable[int]]) -> Labelling:
     return tuple(sorted(tuple(sorted(c)) for c in classes))
 
 
-def _to_labellings(masks: Collection[tuple[int, int, int]]) -> list[Labelling]:
-    """Convert class-mask triples, each distinct class mask once: labellings
-    of one cover share its off mask, and closures reuse their halves.  A
-    labelling is the sorted triple of the shared ``mask_edges`` tuples."""
+def _to_labellings(masks: Collection[tuple[int, int, int]]) -> tuple[Labelling, ...]:
+    """The sorted labellings of class-mask triples, each the sorted triple of
+    shared ``mask_edges`` tuples: each distinct class mask is converted once,
+    as one cover's labellings share its off mask and closures reuse halves."""
     edges = {c: mask_edges(c) for c in set().union(*masks)}
-    return [tuple(sorted(map(edges.__getitem__, classes))) for classes in masks]
+    return tuple(sorted(tuple(sorted(map(edges.__getitem__, classes))) for classes in masks))
 
 
 def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
@@ -41,7 +41,7 @@ def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
     halves of its cycle and an off edge.  The cycles are even, so the step on
     their concatenation gives that triple alone, not all ``2**(n-1)``."""
     joined = tuple(e for cycle in check_cover(m, cover) for e in cycle)
-    return canonical_labelling(map(mask_edges, _reselect(m, (joined,))[0]))
+    return _to_labellings(_reselect(m, (joined,)))[0]
 
 
 def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
@@ -65,7 +65,7 @@ def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:
     """
     if not isinstance(closure, Closure) or closure.map is not m:
         raise TypeError("closure_labellings needs the result of cover_closure on this map")
-    return tuple(sorted(_to_labellings(closure.label_masks)))
+    return _to_labellings(closure.label_masks)
 
 
 def _class_positions(m: CubicMap, lab: Iterable[Iterable[int]]) -> dict[int, int] | None:
@@ -74,7 +74,8 @@ def _class_positions(m: CubicMap, lab: Iterable[Iterable[int]]) -> dict[int, int
     Each class is read once, so a class may be any iterable."""
     classes = [tuple(c) for c in lab]
     position = {e: i for i, c in enumerate(classes) for e in c}
-    if len(classes) != 3 or sum(map(len, classes)) != m.n_edges or position.keys() != m.all_edges:
+    edges = m._edge_ends.keys()
+    if len(classes) != 3 or sum(map(len, classes)) != m.n_edges or position.keys() != edges:
         return None
     return position
 

@@ -7,7 +7,9 @@ of a perfect matching), and proper labellings by splitting complements
 (each class of a proper 3-edge-labelling meets every vertex once, so a
 labelling is a perfect matching plus a split of its 2-factor complement
 into two more).  The matching search is their one search.  They exist to
-*check* the fast path, so they share none of its search or pick logic.
+*check* the fast path, so they share none of its search or pick logic
+(the closure's step, ``growth``), only what both read: ``walk_cycles``,
+the edge-mask conversions, the cover sort and ``_to_labellings``.
 
 Input contract: every edge has two distinct ends (``CubicMap.edge_vertices``
 raises NotTwoRegular otherwise), so matchings are found on any loop-free
@@ -17,10 +19,11 @@ map's turn table (``CubicMap._turns``) is that check.  A map too
 deep for the matching search's recursion raises CapExceeded, like a map
 over the cap.
 
-Work that depends only on the map is done once per map.  After its one
-degree check, the cover enumerator walks each matching's complement, a
-spanning 2-factor, unchecked into canonical cycles and only sorts the
-all-even walks.
+Work that depends only on the map is done once per map.  After their one
+degree check, both the cover and the labelling enumerator read the
+matchings through ``_even_complements``, which walks each matching's
+complement, a spanning 2-factor, unchecked into canonical cycles and keeps
+the all-even walks; the cover enumerator only sorts them.
 The shared-cycle check gives every (cover, cycle) slot one bit and every
 edge the mask of the slots that hold it, so a face pair shares a cycle
 iff its masks meet.
@@ -31,20 +34,19 @@ a neighbour already matched.  It holds the covered vertices as an
 integer bitmask over the positions of that order, and returns each
 matching as an edge mask.  ``all_perfect_matchings`` converts the masks
 to edge sets.  The labelling oracle searches only the matchings that hold
-the first vertex's first edge, splits each all-even complement into its
-cycles' alternating halves on masks, and converts each distinct class
-mask to edges once.
+the first vertex's first edge and splits each all-even complement into
+its cycles' alternating halves on masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .closure import cover_closure
 from .errors import CapExceeded
-from .incidence import Cover, CubicMap, _sorted_cover, edge_mask, mask_edges, walk_cycles
-from .labelling import Labelling
+from .incidence import Cover, CubicMap, Cycle, _sorted_cover, edge_mask, mask_edges, walk_cycles
+from .labelling import Labelling, _to_labellings
 from .serialize import map_fingerprint
 
 DEFAULT_ORACLE_CAP = 45
@@ -120,23 +122,28 @@ def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[f
     return tuple(map(frozenset, sorted(map(mask_edges, _matchings(m)))))
 
 
+def _even_complements(m: CubicMap, masks: Iterable[int]) -> Iterator[tuple[int, list[Cycle]]]:
+    """``(mask, cycles)`` for each perfect matching mask whose complement,
+    walked unchecked into canonical cycles, has only even cycles (Tait).
+    The caller's degree check makes every complement a spanning 2-factor."""
+    for mask in masks:
+        cycles = walk_cycles(m, m._all_mask ^ mask)
+        if all(len(c) % 2 == 0 for c in cycles):
+            yield mask, cycles
+
+
 def all_even_cycle_covers(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Cover, ...]:
     """Every spanning set of vertex-disjoint even cycles, canonical-sorted.
 
     After the cap check, the map's turn table checks that every vertex
     meets three distinct edges (NotTwoRegular otherwise), which makes the
     complement of every perfect matching a spanning 2-factor.  Each
-    complement is walked unchecked into canonical cycles, and kept, sorted,
-    if all its cycles are even.
+    all-even complement is kept, sorted (``_even_complements``).
     """
     _check_cap(m, cap)
     m._turns  # the degree check
-    covers = []
-    for matching in all_perfect_matchings(m, cap):
-        walks = walk_cycles(m, m._all_mask ^ edge_mask(matching))
-        if all(len(w) % 2 == 0 for w in walks):
-            covers.append(_sorted_cover(walks))
-    return tuple(sorted(covers))
+    matchings = map(edge_mask, all_perfect_matchings(m, cap))
+    return tuple(sorted(_sorted_cover(cycles) for _, cycles in _even_complements(m, matchings)))
 
 
 def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Labelling, ...]:
@@ -149,15 +156,11 @@ def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[L
     cycle: 2**(c-1) splits up to order for c cycles.  Only the matchings
     that hold the first vertex's first edge are searched, and the class
     holding that edge is unique, so each labelling is found exactly once.
-    Each distinct class mask is converted to edges once.
     """
     _check_cap(m, cap)
     m._turns  # the degree check of the cover oracle
     found = []
-    for p in _matchings(m, _anchored=True):
-        cycles = walk_cycles(m, m._all_mask ^ p)
-        if any(len(c) % 2 for c in cycles):
-            continue
+    for p, cycles in _even_complements(m, _matchings(m, _anchored=True)):
         # the first cycle's even positions always go to x, so each split
         # (x, y) is listed once, not once per order
         splits = [(0, 0)]
@@ -165,8 +168,7 @@ def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[L
             a, b = edge_mask(cycle[0::2]), edge_mask(cycle[1::2])
             splits = [(x | a, y | b) for x, y in splits] + [(x | b, y | a) for x, y in splits if i]
         found += [(p, x, y) for x, y in splits]
-    edges = {c: mask_edges(c) for c in {c for classes in found for c in classes}}
-    return tuple(sorted(tuple(sorted(map(edges.__getitem__, classes))) for classes in found))
+    return _to_labellings(found)
 
 
 @dataclass(frozen=True)

@@ -445,14 +445,14 @@ def test_decompose_partition_property():
     from cubicmaps import all_perfect_matchings
 
     for matching in all_perfect_matchings(m)[:5]:
-        on = m.all_edges - matching
+        on = frozenset(m.edge_ids) - matching
         cover = decompose_two_factor(m, on)
         seen_edges = [e for cycle in cover for e in cycle]
         assert len(seen_edges) == len(set(seen_edges))
         assert set(seen_edges) == on
         seen_vertices = [v for cycle in cover for e in cycle for v in m.edge_vertices[e]]
         assert set(seen_vertices) == set(m.vertex_ids)
-        assert off_edges(m, cover) | on == m.all_edges
+        assert off_edges(m, cover) | on == frozenset(m.edge_ids)
         assert off_edges(m, cover) & on == set()
 
 
@@ -478,6 +478,25 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.relative_to(package)} imports {top}"
+
+
+def test_oracles_import_no_search_or_pick_logic():
+    """The oracles check the fast path, so they share none of its search or
+    pick logic: from ``closure`` they import only the entry point they
+    check, from ``labelling`` only the labelling type and its one mask
+    conversion, nothing from ``growth``, and they never name the closure's
+    step ``_reselect``."""
+    source = (Path(cubicmaps.__file__).parent / "oracles.py").read_text(encoding="utf-8")
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                # ``from . import growth`` imports the module itself
+                imported.setdefault(node.module or alias.name, set()).add(alias.name)
+    assert imported["closure"] == {"cover_closure"}
+    assert imported["labelling"] == {"Labelling", "_to_labellings"}
+    assert "growth" not in imported
+    assert "_reselect" not in source
 
 
 def _defined_callables(module):

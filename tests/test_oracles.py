@@ -136,7 +136,7 @@ def _reference_even_covers(m):
     degree check of ``decompose_two_factor``, keep the all-even ones."""
     covers = []
     for matching in all_perfect_matchings(m):
-        cover = decompose_two_factor(m, m.all_edges - matching)
+        cover = decompose_two_factor(m, frozenset(m.edge_ids) - matching)
         if all(len(c) % 2 == 0 for c in cover):
             covers.append(cover)
     return tuple(sorted(covers))
@@ -256,6 +256,20 @@ def test_labellings_past_the_cap_within_seconds():
     covers = all_even_cycle_covers(m, cap=10**9)
     assert len(covers) == 2_096
     assert sum(2 ** (len(c) - 1) for c in covers) == 13_440 == 3 * 4_480
+
+
+def test_matchings_without_an_even_complement():
+    """Two thetas, one edge subdivided, joined by the bridge 9: every
+    perfect matching holds the bridge, and its complement is two
+    triangles, so there is no even cycle cover and no labelling."""
+    m = CubicMap.from_membership(
+        {1: (1, 2, 3), 2: (1, 2, 4), 3: (3, 4, 9), 4: (5, 6, 7), 5: (5, 6, 8), 6: (7, 8, 9)}, {}
+    )
+    assert all_perfect_matchings(m) == tuple(
+        map(frozenset, [(1, 5, 9), (1, 6, 9), (2, 5, 9), (2, 6, 9)])
+    )
+    assert all_even_cycle_covers(m) == ()
+    assert all_proper_labellings(m) == ()
 
 
 def test_even_cycle_covers(cube, theta):
