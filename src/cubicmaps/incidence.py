@@ -11,7 +11,7 @@ never endpoint based, so parallel edges never collide.
 
 Cycles are walked on a turn table that each map builds from its own
 vertex rows (``CubicMap._turns``): a step of ``walk_cycles`` is one table
-lookup and one bit test, and every walk starts at its lowest edge toward
+lookup and one byte read, and every walk starts at its lowest edge toward
 the lower neighbour, so it comes out canonical and a cover of walks needs
 only sorting.  The one cycle test, ``_one_cycle``, walks an edge set once
 on the same table, for ``validate_map``'s face rows and ``order_cycle``.
@@ -34,7 +34,7 @@ FaceKey = int | str
 # key of the outer face, which has no face-edge row
 OUTER = "outer"
 
-# binary digits to 0/1 bytes, the selectors of ``mask_edges``
+# binary digits to 0/1 bytes: ``_mask_bits``
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -379,15 +379,20 @@ def edge_mask(edges: Iterable[int]) -> int:
     return mask
 
 
+def _mask_bits(mask: int, width: int = 0) -> bytes:
+    """The binary digits of a mask, lowest first, as 0/1 bytes: byte e is
+    bit e.  Padded with 0 bytes to ``width``."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS).ljust(width, b"\0")
+
+
 def mask_edges(mask: int) -> tuple[int, ...]:
     """The sorted edge ids of an edge mask.
 
-    The binary digits, lowest first, become 0/1 selector bytes for
-    ``compress``, so the bits are read in C.  The tuple is built from a
-    list: ``tuple`` over the iterator itself over-allocates.
+    The mask's bytes (``_mask_bits``) are the selectors of ``compress``,
+    so the bits are read in C.  The tuple is built from a list: ``tuple``
+    over the iterator itself over-allocates.
     """
-    bits = bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
-    return tuple(list(compress(count(), bits)))
+    return tuple(list(compress(count(), _mask_bits(mask))))
 
 
 def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
@@ -396,38 +401,44 @@ def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
     The only cycle walker of the package.  Every vertex the mask touches
     must meet exactly two of its edges, or the walk need not end: callers
     check with ``_one_cycle`` or ``_two_factor_mask``, or build 2-factors
-    (closure successors, oracle matching complements).  Each step is one
-    lookup in the map's turn table (``CubicMap._turns``) and one bit test.
+    (closure successors, oracle matching complements).  The mask becomes
+    one 0/1 byte per edge id up to the map's top id (``_mask_bits``), so
+    each step is one lookup in the map's turn table (``CubicMap._turns``)
+    and one byte read, and the next cycle's start is one ``find``.
     Each cycle starts at its lowest edge id and leaves it toward the lower
     of its two neighbours, so it comes out in ``canonical_cycle`` form, and
     cycles come out in order of their lowest edge id.
     """
     turns = m._turns
+    # a byte for every id up to the top one (edge_ids is sorted), so every
+    # turn-table read is in range
+    bits = bytearray(_mask_bits(mask, m.edge_ids[-1] + 1 if m.edge_ids else 0))
     cycles = []
-    while mask:
-        e = (mask & -mask).bit_length() - 1
+    e = bits.find(1)
+    while e >= 0:
         # leave e along the lower of the mask edges at its two ends: x at
         # the first end, z at the second, each with its leaving dart
         y, dy, z, dz = turns[2 * e]
-        x, d = (y, dy) if mask >> y & 1 else (z, dz)
+        x, d = (y, dy) if bits[y] else (z, dz)
         y, dy, z, dz = turns[2 * e + 1]
-        if mask >> y & 1:
+        if bits[y]:
             z, dz = y, dy
         if z < x:
             x, d = z, dz
-        # clear each edge's bit as it is walked, and e's at the end: e is the
+        # clear each edge's byte as it is walked, and e's at the end: e is the
         # one walked edge the walk meets again, as its last step's exit
         walk = [e]
         while x != e:
             walk.append(x)
-            mask ^= 1 << x
+            bits[x] = 0
             y, dy, z, dz = turns[d]
-            if mask >> y & 1:
+            if bits[y]:
                 x, d = y, dy
             else:
                 x, d = z, dz
-        mask ^= 1 << e
+        bits[e] = 0
         cycles.append(tuple(walk))
+        e = bits.find(1, e)
     return cycles
 
 

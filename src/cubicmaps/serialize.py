@@ -140,6 +140,25 @@ def trace_documents(steps) -> list[Document]:
 _LABELLING_JSON = '{{"class_1":{},"class_2":{},"class_3":{}}}'.format
 
 
+class _DecimalText(dict):
+    """Int -> its decimal text, each ``str`` made once per process.
+
+    Only exact ints enter: ``True`` stored under the key 1 would make every
+    later 1 encode as ``True``.  A value equal to a stored int (``True``,
+    ``1.0``) reads that int's text; edge ids are ints.  Trace ids are
+    positional, so the table holds about as many entries as the largest
+    map written has edges."""
+
+    def __missing__(self, n) -> str:
+        text = str(n)
+        if type(n) is int:
+            self[n] = text
+        return text
+
+
+_decimal = _DecimalText().__getitem__
+
+
 def _record_json(doc: Document) -> str:
     """``canonical_json(doc)`` for a trace-shaped document: a record of
     ``trace_documents``, or a subset of its keys.
@@ -148,7 +167,8 @@ def _record_json(doc: Document) -> str:
     tuples), and each ``labellings`` entry holds exactly the three class
     keys; every other key goes through ``canonical_json``.  Each distinct
     edge tuple is encoded once per record, as a fragment such as
-    ``[3,7,9]``; edge ids are ints, whose JSON is their ``str``.
+    ``[3,7,9]``; edge ids are ints, whose JSON is their ``str``, read from
+    a table that makes each id's text once (``_DecimalText``).
     """
     # Keyed by id(): trace_documents gives every slot of one distinct tuple
     # the same tuple object, and doc keeps every tuple alive while it is
@@ -158,7 +178,7 @@ def _record_json(doc: Document) -> str:
     def edges(t) -> str:
         text = memo.get(id(t))
         if text is None:
-            text = memo[id(t)] = "[" + ",".join(map(str, t)) + "]"
+            text = memo[id(t)] = "[" + ",".join(map(_decimal, t)) + "]"
         return text
 
     def cover(c) -> str:

@@ -25,12 +25,13 @@ from cubicmaps import (
     decompose_two_factor,
     euler_check,
     face_boundary,
+    grow,
     incidence,
     off_edges,
     order_cycle,
     validate_map,
 )
-from cubicmaps.fixtures import cube_map, cube_seed, tetrahedron_map, theta_map
+from cubicmaps.fixtures import cube_map, cube_seed, tetrahedron_map, theta_map, theta_seed
 from cubicmaps.incidence import (
     edge_mask,
     face_boundary_walk,
@@ -383,6 +384,28 @@ def test_walks_come_out_canonical(name):
             assert walks == [canonical_cycle(c) for c in walks]
             assert mask_cover(m, mask) == canonical_cover(walks)
             assert edge_mask(e for w in walks for e in w) == mask
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["cube", "corpus_map"])
+def test_walks_on_sparse_ids(grown):
+    """The walker reads one byte per edge id up to the top id.  Renaming
+    edge e to 1000*e + 7 puts the top id on walked cycles and leaves long
+    runs of ids that are not edges; every oracle cover still walks to its
+    renamed canonical cover."""
+    m = grow(theta_map(), theta_seed(), iterations=14, rng_seed=11)[-1].map if grown else cube_map()
+    rename = {e: 1000 * e + 7 for e in m.edge_ids}
+    sparse = CubicMap.from_membership(
+        *({k: [rename[e] for e in es] for k, es in rows.items()}
+          for rows in (m.vertex_edges, m.face_edges))
+    )
+    assert validate_map(sparse) == []
+    top = max(sparse.edge_ids)
+    covers = all_even_cycle_covers(m)
+    assert covers
+    renamed = [canonical_cover([rename[e] for e in cycle] for cycle in cover) for cover in covers]
+    assert any(top in cycle for cover in renamed for cycle in cover)
+    for cover in renamed:
+        assert mask_cover(sparse, edge_mask(e for cycle in cover for e in cycle)) == cover
 
 
 @pytest.mark.parametrize("name", REFERENCE_MAPS)

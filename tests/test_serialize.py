@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from cubicmaps import CubicMap, grow, map_from_document, map_to_document, to_dot
+from cubicmaps import CubicMap, grow, map_from_document, map_to_document, serialize, to_dot
 from cubicmaps.fixtures import cube_map, cube_seed, fixture_path, theta_map, theta_seed
 from cubicmaps.serialize import (
+    _DecimalText,
     _record_json,
     canonical_json,
     load_map,
@@ -174,11 +175,13 @@ def grow_cube_documents(cube_42_steps):
 def _hand_built_records():
     """Trace-shaped documents that growth does not produce: empty lists, no
     insertion, equal tuples that are distinct objects, one tuple object in
-    every kind of slot, and the ``enumerate --out`` subset."""
+    every kind of slot, the ``enumerate --out`` subset, and ids at each
+    digit-count boundary up to three digits, a 13-digit id and a negative one."""
     equal = (1, 2, 3)
     twin = tuple([1, 2, 3])
     assert equal == twin and equal is not twin
     shared, rest = (1, 2, 3, 4), (5, 6)
+    digits, negative = (0, 9, 10, 99, 100, 10**12), (-3, 0)
     empty_map = {"vertex_edge": [], "face_edge": [], "cycles": []}
     return [
         {"step": 0, "map": empty_map, "covers": [], "labellings": [], "hamiltonian": [],
@@ -194,6 +197,9 @@ def _hand_built_records():
         {"covers": [[shared, rest]], "labellings": [{"class_1": rest, "class_2": shared,
                                                      "class_3": shared}],
          "hamiltonian": []},
+        {"covers": [[digits, negative]], "labellings": [{"class_1": digits, "class_2": negative,
+                                                         "class_3": (10**12, -3)}],
+         "hamiltonian": [[negative]]},
     ]
 
 
@@ -203,6 +209,18 @@ def test_record_json_is_canonical_json(grow_cube_documents):
     documents = grow_cube_documents + subsets + _hand_built_records()
     differ = [i for i, doc in enumerate(documents) if _record_json(doc) != canonical_json(doc)]
     assert len(grow_cube_documents) == 63 and not differ, f"documents {differ} differ"
+
+
+def test_a_bool_or_float_id_does_not_change_how_ints_encode(monkeypatch):
+    """The decimal table keeps exact ints only: a dict stores ``True`` under
+    the key 1 (and 4.0 under 4), so one record holding them would make every
+    later 1 (or 4) encode as their text.  A fresh table, so the keys are
+    not already there."""
+    monkeypatch.setattr(serialize, "_decimal", _DecimalText().__getitem__)
+    _record_json({"covers": [[(True, 4.0)]]})
+    doc = {"covers": [[(1, 4)]], "labellings": [{"class_1": (1,), "class_2": (4,), "class_3": (1, 4)}],
+           "hamiltonian": [[(4, 1)]]}
+    assert _record_json(doc) == canonical_json(doc)
 
 
 def test_trace_documents_share_one_object_per_distinct_tuple(cube_42_steps):
