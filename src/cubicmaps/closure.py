@@ -5,8 +5,11 @@ One step on a cover with ``n`` cycles: split every cycle into its two
 alternating halves, pick one half per cycle (``2**n`` selections), keep the
 chosen halves plus every off-cover edge, and read the resulting 2-regular
 edge set off as a new cover.  A selection and its complement form one
-labelling, so the step ``_reselect`` lists ``2**(n-1)`` picks (the first
-cycle on its a-half), each one labelling with its two successor pairings.
+labelling, so the step ``_reselect`` lists ``2**(n-1)`` picks, each one
+labelling with its two successor pairings.  It starts from one given pick:
+toggling a cycle swaps its two halves, so the other picks are that pick with
+any subset of its cycles toggled, except the last (a longest), which is
+never toggled.
 Iterating to a fixed point gives the seed's Kempe class: the connected
 component that holds the seed in the graph joining each cover to the
 labellings it induces (each labelling to the three covers its class pairs
@@ -57,38 +60,59 @@ def half_choices(n: int) -> list[tuple[str, ...]]:
     return list(product("ab", repeat=n))
 
 
-def _reselect(m: CubicMap, cover: Cover) -> list[tuple[int, int, int]]:
-    """The class-mask triple ``(pick, on ^ pick, off)`` of each half pick of a
-    canonical cover (a half is a cycle's even or odd positions), in
-    :func:`half_choices` order with the first cycle on its a-half.  Each of
-    the first two classes joined with ``off`` is a successor cover."""
-    first, *rest = cover
-    picks, on = [edge_mask(first[0::2])], edge_mask(first)
-    for cycle in rest:
-        a, b = edge_mask(cycle[0::2]), edge_mask(cycle[1::2])
-        picks = [p | h for p in picks for h in (a, b)]
-        on |= a | b
-    off = m._all_mask ^ on
-    return [(p, on ^ p, off) for p in picks]
+def _cover_masks(cover: Cover) -> tuple[int, int]:
+    """The on-edge mask of a canonical cover and its a-pick (every cycle's
+    even positions), the pick that the seed of a closure and the
+    single-cover functions start from."""
+    return (
+        edge_mask(e for cycle in cover for e in cycle),
+        edge_mask(e for cycle in cover for e in cycle[0::2]),
+    )
+
+
+def _reselect(cover: Cover, pick: int) -> list[int]:
+    """The ``2**(n-1)`` half picks of a canonical cover of ``n`` cycles, from
+    one given pick (one alternating half of every cycle).  Toggling a cycle
+    (xor with its mask) swaps its halves, so the picks are ``pick`` with
+    every subset of the cycles but the last toggled; the last (a longest)
+    keeps its half, as a pick and its complement ``on ^ pick`` are one
+    labelling.  Only the toggled cycles are turned into masks.  Pick p is
+    the class-mask triple ``(p, on ^ p, off)``, and each of its first two
+    classes joined with ``off`` is a successor cover."""
+    picks = [pick]
+    for cycle in cover[:-1]:
+        toggle = edge_mask(cycle)
+        picks += [p ^ toggle for p in picks]
+    return picks
 
 
 def successor_covers(m: CubicMap, cover: Cover) -> set[Cover]:
-    """All covers produced by one reselection step, deduplicated."""
-    triples = _reselect(m, check_cover(m, cover))
-    return {mask_cover(m, s | off) for p, q, off in triples for s in (p, q)}
+    """All covers produced by one reselection step, deduplicated: the
+    complement ``every ^ h`` of each of the ``2**n`` selections h."""
+    cover = check_cover(m, cover)
+    on, a = _cover_masks(cover)
+    every = m._all_mask
+    return {mask_cover(m, every ^ h) for p in _reselect(cover, a) for h in (p, on ^ p)}
 
 
 class Closure(tuple):
     """The sorted covers of a closure, carrying the ``map`` it was built on
-    and its covers' labellings as class-mask triples (``label_masks``): one
-    ``_reselect`` triple per labelling, in worklist order."""
+    and its covers' labellings as class-mask triples ``(p, on ^ p, off)``
+    (``label_masks``): one per labelling, in worklist order, from the picks
+    of ``_reselect``."""
 
 
 def cover_closure(m: CubicMap, seed: Cover) -> Closure:
     """Closure of the seed cover under the reselection step.
 
-    Worklist iteration keyed by each cover's on-edge mask: the two
-    successor masks of each pick are decomposed into cycles only when new.
+    Worklist iteration keyed by each cover's on-edge mask.  The successor
+    of a selection h is its complement ``every ^ h``, since
+    ``p | off == every ^ (on ^ p)``, and is decomposed into cycles only
+    when new.  Each queued cover carries its on-edge mask and one known
+    pick, the off class of the cover that found it (the new cover's cycles
+    alternate between that class and the selection it keeps), so the step
+    starts from it and no half mask is rebuilt; the seed starts from its
+    a-pick.
     A cover's picks are recorded as labellings only when its off class
     holds the map's top edge: a labelling is a pick of exactly its three
     covers (one per class left off), and the top edge lies in one of its
@@ -99,19 +123,24 @@ def cover_closure(m: CubicMap, seed: Cover) -> Closure:
     (pathological input, far beyond anything a desk-scale map produces).
     """
     seed = check_cover(m, seed)
-    seen = {edge_mask(e for cycle in seed for e in cycle): seed}
-    top = 1 << (m._all_mask.bit_length() - 1)
+    every = m._all_mask
+    top = 1 << (every.bit_length() - 1)
+    on, a = _cover_masks(seed)
+    seen = {on: seed}
     labels = []
-    queue = deque([seed])
+    queue = deque([(seed, on, a)])
     while queue:
-        triples = _reselect(m, queue.popleft())
-        if triples[0][2] & top:
-            labels += triples
-        for p, q, off in triples:
-            for s in (p | off, q | off):
+        cover, on, pick = queue.popleft()
+        picks = _reselect(cover, pick)
+        off = every ^ on
+        if off & top:
+            labels += [(p, on ^ p, off) for p in picks]
+        for p in picks:
+            # the complements of the selections p and on ^ p
+            for s in (every ^ p, off ^ p):
                 if s not in seen:
                     seen[s] = new = mask_cover(m, s)
-                    queue.append(new)
+                    queue.append((new, s, off))
                     if len(seen) > DEFAULT_CLOSURE_LIMIT:
                         raise IterationLimit(f"closure exceeded {DEFAULT_CLOSURE_LIMIT} covers")
     closure = Closure(sorted(seen.values()))

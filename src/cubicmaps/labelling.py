@@ -8,14 +8,14 @@ their class sets coincide; the canonical form sorts the three classes.
 Each half pick of a cover is one labelling (picked halves, other halves,
 off edges).  ``closure_labellings`` reads the ones ``cover_closure``
 recorded; the single-cover functions take the closure's reselection step
-on the cover they are given.
+on the cover they are given, from its a-pick.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterable, Sequence
 
-from .closure import Closure, _reselect
+from .closure import Closure, _cover_masks, _reselect
 from .errors import NoHamiltonian
 from .incidence import Cover, CubicMap, check_cover, mask_edges
 
@@ -36,12 +36,11 @@ def _to_labellings(masks: Collection[tuple[int, int, int]]) -> tuple[Labelling, 
 
 
 def labelling_from_cover(m: CubicMap, cover: Cover) -> Labelling:
-    """The cover's canonical-split labelling, the step's first triple: every
+    """The cover's canonical-split labelling, the triple of its a-pick: every
     a-half, every b-half and the off edges.  Proper, as each vertex meets both
-    halves of its cycle and an off edge.  The cycles are even, so the step on
-    their concatenation gives that triple alone, not all ``2**(n-1)``."""
-    joined = tuple(e for cycle in check_cover(m, cover) for e in cycle)
-    return _to_labellings(_reselect(m, (joined,)))[0]
+    halves of its cycle and an off edge."""
+    on, a = _cover_masks(check_cover(m, cover))
+    return _to_labellings([(a, on ^ a, m._all_mask ^ on)])[0]
 
 
 def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
@@ -51,7 +50,10 @@ def labellings_from_cover(m: CubicMap, cover: Cover) -> set[Labelling]:
     independently, so a cover with n cycles yields up to 2**(n-1)
     distinct labellings after the role quotient.
     """
-    return set(_to_labellings(_reselect(m, check_cover(m, cover))))
+    cover = check_cover(m, cover)
+    on, a = _cover_masks(cover)
+    off = m._all_mask ^ on
+    return set(_to_labellings([(p, on ^ p, off) for p in _reselect(cover, a)]))
 
 
 def closure_labellings(m: CubicMap, closure: Closure) -> tuple[Labelling, ...]:

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from cubicmaps import (
 )
 from cubicmaps import all_even_cycle_covers, closure, grow
 from cubicmaps.fixtures import cube_map, cube_seed, theta_map, wheel_rotation
+from cubicmaps.incidence import edge_mask
 
 from conftest import grown_cube, random_insertion_walk, reference_maps
 
@@ -108,6 +110,7 @@ def test_closure_on_grown_map_is_schedule_free():
         assert cover_closure(m, seed) == first
 
 
+@functools.cache
 def _recorded_closures():
     """Name -> closure: of the first oracle cover of every reference map,
     and of every step of cube growth seeds 42, 13 and 16 x 20."""
@@ -129,6 +132,46 @@ def test_closure_records_each_labelling_once():
         # each cover of c cycles has 2**(c-1) picks, and every labelling is
         # a pick of three covers of the closure
         assert sum(2 ** (len(c) - 1) for c in found) == 3 * len(triples), name
+
+
+def _selections(cover):
+    """The mask of every selection of one alternating half per cycle, from
+    ``half_choices`` and ``alternating_halves`` alone."""
+    halves = [tuple(map(edge_mask, alternating_halves(cycle))) for cycle in cover]
+    return [
+        sum(h["ab".index(x)] for h, x in zip(halves, choice))
+        for choice in half_choices(len(cover))
+    ]
+
+
+def test_reselect_lists_each_pick_once_from_any_pick():
+    # from the a-pick, the b-pick and a pick with every other cycle (the
+    # last among them) toggled, the step lists each of the 2**(c-1)
+    # unordered {pick, complement} pairs exactly once
+    for name, found in _recorded_closures().items():
+        for cover in found:
+            on = edge_mask(e for cycle in cover for e in cycle)
+            a = edge_mask(e for cycle in cover for e in cycle[0::2])
+            mixed = a ^ edge_mask(e for cycle in cover[::-2] for e in cycle)
+            want = {frozenset((h, on ^ h)) for h in _selections(cover)}
+            assert len(want) == 2 ** (len(cover) - 1), name
+            for pick in (a, on ^ a, mixed):
+                picks = closure._reselect(cover, pick)
+                assert len(picks) == len(want), name
+                assert {frozenset((p, on ^ p)) for p in picks} == want, name
+
+
+def test_closure_is_closed_under_complements():
+    # the successor of every selection h is its complement every ^ h, and
+    # each recorded triple (p, q, off) has p | off == every ^ q
+    for name, found in _recorded_closures().items():
+        every = found.map._all_mask
+        members = {edge_mask(e for cycle in cover for e in cycle) for cover in found}
+        for cover in found:
+            for h in _selections(cover):
+                assert every ^ h in members, name
+        for p, q, off in found.label_masks:
+            assert p | q | off == every and p | off == every ^ q, name
 
 
 def test_iteration_limit(cube, cube_cover, monkeypatch):
