@@ -153,7 +153,7 @@ def cmd_export(args) -> int:
     m, cycles = _load_valid(args)
     cover = check_cover(m, cycles) if cycles else None
     if args.format == "json":
-        payload = canonical_json(map_to_document(m, cycles=cycles or None)) + "\n"
+        payload = canonical_json(map_to_document(m, cycles=cover)) + "\n"
     else:
         labelling = labelling_from_cover(m, cover) if cover else None
         payload = to_dot(m, labelling=labelling, cover=cover)

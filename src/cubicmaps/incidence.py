@@ -11,10 +11,10 @@ never endpoint based, so parallel edges never collide.
 
 Cycles are walked on a turn table that each map builds from its own
 vertex rows (``CubicMap._turns``): a step of ``walk_cycles`` is one table
-lookup and one byte read, and every walk starts at its lowest edge toward
-the lower neighbour, so it comes out canonical and a cover of walks needs
-only sorting.  The one cycle test, ``_one_cycle``, walks an edge set once
-on the same table, for ``validate_map``'s face rows and ``order_cycle``.
+lookup and one byte read, and every walk starts on its lowest edge's dart
+``2*e`` and is oriented as ``canonical_cycle`` orients, so a cover of walks
+needs only sorting.  The one cycle test, ``_one_cycle``, walks an edge set
+once on the same table, for ``validate_map``'s face rows and ``order_cycle``.
 """
 
 from __future__ import annotations
@@ -379,10 +379,10 @@ def edge_mask(edges: Iterable[int]) -> int:
     return mask
 
 
-def _mask_bits(mask: int, width: int = 0) -> bytes:
+def _mask_bits(mask: int) -> bytes:
     """The binary digits of a mask, lowest first, as 0/1 bytes: byte e is
-    bit e.  Padded with 0 bytes to ``width``."""
-    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS).ljust(width, b"\0")
+    bit e, and the last byte is the top bit."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
 def mask_edges(mask: int) -> tuple[int, ...]:
@@ -399,32 +399,23 @@ def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
     """Split an edge mask into its canonical cycles.
 
     The only cycle walker of the package.  Every vertex the mask touches
-    must meet exactly two of its edges, or the walk need not end: callers
-    check with ``_one_cycle`` or ``_two_factor_mask``, or build 2-factors
-    (closure successors, oracle matching complements).  The mask becomes
-    one 0/1 byte per edge id up to the map's top id (``_mask_bits``), so
-    each step is one lookup in the map's turn table (``CubicMap._turns``)
-    and one byte read, and the next cycle's start is one ``find``.
-    Each cycle starts at its lowest edge id and leaves it toward the lower
-    of its two neighbours, so it comes out in ``canonical_cycle`` form, and
-    cycles come out in order of their lowest edge id.
-    """
+    must meet exactly two of its edges, or the walk need not end or may
+    raise IndexError: callers check with ``_one_cycle`` or
+    ``_two_factor_mask``, or build 2-factors (closure successors, oracle
+    matching complements).  The mask becomes one 0/1 byte per edge id up
+    to its top bit (``_mask_bits``); a step is one turn-table lookup and a
+    read of its lower exit y's byte (``_turns`` lists y < z, one of them on
+    the mask, so y is in range).  Each cycle starts on its lowest edge's
+    dart ``2*e``, as ``_one_cycle`` does, and is oriented by
+    ``canonical_cycle``'s comparison: cycles come out canonical, in order
+    of their lowest edge."""
     turns = m._turns
-    # a byte for every id up to the top one (edge_ids is sorted), so every
-    # turn-table read is in range
-    bits = bytearray(_mask_bits(mask, m.edge_ids[-1] + 1 if m.edge_ids else 0))
+    bits = bytearray(_mask_bits(mask))
     cycles = []
     e = bits.find(1)
     while e >= 0:
-        # leave e along the lower of the mask edges at its two ends: x at
-        # the first end, z at the second, each with its leaving dart
         y, dy, z, dz = turns[2 * e]
         x, d = (y, dy) if bits[y] else (z, dz)
-        y, dy, z, dz = turns[2 * e + 1]
-        if bits[y]:
-            z, dz = y, dy
-        if z < x:
-            x, d = z, dz
         # clear each edge's byte as it is walked, and e's at the end: e is the
         # one walked edge the walk meets again, as its last step's exit
         walk = [e]
@@ -437,6 +428,8 @@ def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
             else:
                 x, d = z, dz
         bits[e] = 0
+        if walk[-1] < walk[1]:
+            walk[1:] = walk[:0:-1]
         cycles.append(tuple(walk))
         e = bits.find(1, e)
     return cycles
@@ -455,12 +448,12 @@ def _sorted_cover(walks: list[Cycle]) -> Cover:
 
 def _edge_set_mask(m: CubicMap, edges: Iterable[int], error: type[Exception]) -> int:
     """Edge mask of distinct edge ids of the map; raises ``error`` at the
-    first edge that is not one (floats, booleans, strings and unhashable
-    values are not ids), or if an edge is listed twice."""
+    first edge that is not one (floats, booleans, strings, unhashable values
+    and negative ints are not ids), or if an edge is listed twice."""
     ends = m.edge_vertices
     mask = n = 0
     for n, e in enumerate(edges, start=1):
-        if type(e) is not int or e not in ends:
+        if type(e) is not int or e < 0 or e not in ends:
             raise error(f"unknown edge id {e!r}")
         mask |= 1 << e
     if mask.bit_count() != n:
@@ -552,10 +545,12 @@ def canonical_cover(cover: Iterable[Sequence[int]]) -> Cover:
 def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
     """Validate the cover invariants; return the canonical form.
 
-    Raises InvalidCover unless the cycles are pairwise vertex-disjoint
-    even closed walks whose vertices together cover the whole map.  One
+    Raises InvalidCover unless the cycles, as edge sets, are pairwise
+    vertex-disjoint even cycles that together cover the whole map.  One
     degree check covers all the given edges, one walk splits their union
-    into cycles, and the walked cycles must be the given ones.
+    into cycles, and the walked cycles must be the given ones as edge sets:
+    edge order is not checked, so the cube's ``(1, 10, 9, 11)`` comes back
+    as the walked ``(1, 9, 10, 11)``.
     """
     cover = tuple(tuple(c) for c in cover)
     if not cover:

@@ -246,6 +246,19 @@ def test_export_json_round_trip(cube_file, tmp_path):
     assert cycles == ((1, 9, 10, 11), (3, 4, 5, 6))
 
 
+def test_export_json_writes_the_checked_cover(cube_file, tmp_path):
+    # cycles listed out of order (edges 10 and 1 are not adjacent on their
+    # face) are checked as edge sets and written canonical
+    doc = json.load(open(cube_file))
+    doc["cycles"] = [[10, 1, 11, 9], [6, 5, 4, 3]]
+    given, out1, out2 = (tmp_path / name for name in ("given.json", "a.json", "b.json"))
+    given.write_text(json.dumps(doc))
+    assert main(["export", "--input", str(given), "--format", "json", "--out", str(out1)]) == 0
+    assert json.loads(out1.read_bytes())["cycles"] == [[1, 9, 10, 11], [3, 4, 5, 6]]
+    assert main(["export", "--input", str(out1), "--format", "json", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 @pytest.mark.parametrize(
     "command",

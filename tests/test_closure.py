@@ -92,6 +92,10 @@ def test_closure_elements_are_valid_covers(cube, cube_cover):
     for cover in cover_closure(cube, cube_cover):
         assert check_cover(cube, cover) == cover
         assert all(len(c) % 2 == 0 for c in cover)
+    # the given cycles are compared as edge sets, so the order in which each
+    # lists its edges is not checked; the walked cycles come back canonical
+    assert cube_cover == ((1, 9, 10, 11), (3, 4, 5, 6))
+    assert check_cover(cube, ((1, 10, 9, 11), (3, 5, 4, 6))) == cube_cover
 
 
 def test_closure_seed_independent_within_component(cube, cube_cover):

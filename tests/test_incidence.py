@@ -260,6 +260,18 @@ def test_edge_ids_that_cannot_index_a_mask_are_reported(bad):
     # edge masks shift by edge id, so these ids are reported before it
     m = CubicMap.from_membership({1: (bad, 2, 3), 2: (bad, 2, 3)}, {1: (bad, 2), 2: (2, 3)})
     assert validate_map(m) == [f"edge ids [{bad!r}] are not non-negative integers"]
+    # every function that turns given edges into a mask raises its own error
+    # on such an id, never a bare ValueError from a negative shift
+    with pytest.raises(InvalidCover, match="unknown edge id"):
+        check_cover(m, [(bad, 2)])
+    with pytest.raises(InvalidCover, match="unknown edge id"):
+        cover_closure(m, [(bad, 2)])
+    with pytest.raises(NotACycle, match="unknown edge id"):
+        order_cycle(m, (bad, 2))
+    with pytest.raises(NotTwoRegular, match="unknown edge id"):
+        decompose_two_factor(m, (bad, 2))
+    with pytest.raises(MalformedFace, match="unknown edge id"):
+        face_boundary(m, 1)
 
 
 def _one_edge_corruptions(m):
@@ -388,10 +400,11 @@ def test_walks_come_out_canonical(name):
 
 @pytest.mark.parametrize("grown", [False, True], ids=["cube", "corpus_map"])
 def test_walks_on_sparse_ids(grown):
-    """The walker reads one byte per edge id up to the top id.  Renaming
-    edge e to 1000*e + 7 puts the top id on walked cycles and leaves long
-    runs of ids that are not edges; every oracle cover still walks to its
-    renamed canonical cover."""
+    """The walker reads one byte per edge id up to the mask's top bit.
+    Renaming edge e to 1000*e + 7 puts the top id on walked cycles and
+    leaves long runs of ids that are not edges; every oracle cover still
+    walks to its renamed canonical cover, and every face row, whose mask
+    mostly ends far below the top id, to its renamed boundary."""
     m = grow(theta_map(), theta_seed(), iterations=14, rng_seed=11)[-1].map if grown else cube_map()
     rename = {e: 1000 * e + 7 for e in m.edge_ids}
     sparse = CubicMap.from_membership(
@@ -406,16 +419,23 @@ def test_walks_on_sparse_ids(grown):
     assert any(top in cycle for cover in renamed for cycle in cover)
     for cover in renamed:
         assert mask_cover(sparse, edge_mask(e for cycle in cover for e in cycle)) == cover
+    for f, row in sparse.face_edges.items():
+        boundary = canonical_cycle([rename[e] for e in face_boundary(m, f)])
+        assert walk_cycles(sparse, edge_mask(row)) == [boundary]
+        assert face_boundary(sparse, f) == boundary
 
 
 @pytest.mark.parametrize("name", REFERENCE_MAPS)
 def test_turn_table_names_the_exits_of_each_dart(name):
     """Dart 2e + k points to ``edge_vertices[e][k]``; its entry names the
-    other two edges there, each with a dart that leaves that vertex."""
+    other two edges there, lower first, each with a dart that leaves that
+    vertex.  The walker reads only the lower exit's byte, which is in range
+    because y < z."""
     m = REFERENCE_MAPS[name]
     turns = m._turns
     assert sorted(turns) == [2 * e + k for e in m.edge_ids for k in (0, 1)]
     for d, (y, dy, z, dz) in turns.items():
+        assert y < z
         e, k = divmod(d, 2)
         v = m.edge_vertices[e][k]
         assert sorted((e, y, z)) == sorted(m.vertex_edges[v])
