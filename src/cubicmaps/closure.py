@@ -34,7 +34,7 @@ from .incidence import (
     CubicMap,
     check_cover,
     edge_mask,
-    mask_cover,
+    walk_cycles,
 )
 
 DEFAULT_CLOSURE_LIMIT = 10**6  # most covers a closure may hold
@@ -92,7 +92,7 @@ def successor_covers(m: CubicMap, cover: Cover) -> set[Cover]:
     cover = check_cover(m, cover)
     on, a = _cover_masks(cover)
     every = m._all_mask
-    return {mask_cover(m, every ^ h) for p in _reselect(cover, a) for h in (p, on ^ p)}
+    return {walk_cycles(m, every ^ h) for p in _reselect(cover, a) for h in (p, on ^ p)}
 
 
 class Closure(tuple):
@@ -139,7 +139,7 @@ def cover_closure(m: CubicMap, seed: Cover) -> Closure:
             # the complements of the selections p and on ^ p
             for s in (every ^ p, off ^ p):
                 if s not in seen:
-                    seen[s] = new = mask_cover(m, s)
+                    seen[s] = new = walk_cycles(m, s)
                     queue.append((new, s, off))
                     if len(seen) > DEFAULT_CLOSURE_LIMIT:
                         raise IterationLimit(f"closure exceeded {DEFAULT_CLOSURE_LIMIT} covers")

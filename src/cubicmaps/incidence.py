@@ -11,10 +11,11 @@ never endpoint based, so parallel edges never collide.
 
 Cycles are walked on a turn table that each map builds from its own
 vertex rows (``CubicMap._turns``): a step of ``walk_cycles`` is one table
-lookup and one byte read, and every walk starts on its lowest edge's dart
-``2*e`` and is oriented as ``canonical_cycle`` orients, so a cover of walks
-needs only sorting.  The one cycle test, ``_one_cycle``, walks an edge set
-once on the same table, for ``validate_map``'s face rows and ``order_cycle``.
+lookup and one byte read, every walk starts on its lowest edge's dart
+``2*e`` and is oriented as ``canonical_cycle`` orients, and the walker
+returns its cycles as the canonical cover.  The one cycle test,
+``_one_cycle``, walks an edge set once on the same table, for
+``validate_map``'s face rows and ``order_cycle``.
 """
 
 from __future__ import annotations
@@ -395,20 +396,23 @@ def mask_edges(mask: int) -> tuple[int, ...]:
     return tuple(list(compress(count(), _mask_bits(mask))))
 
 
-def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
-    """Split an edge mask into its canonical cycles.
+def walk_cycles(m: CubicMap, mask: int) -> Cover:
+    """The canonical cover of an edge mask: its cycles, canonical, sorted
+    by (length, sequence).
 
     The only cycle walker of the package.  Every vertex the mask touches
-    must meet exactly two of its edges, or the walk need not end or may
-    raise IndexError: callers check with ``_one_cycle`` or
-    ``_two_factor_mask``, or build 2-factors (closure successors, oracle
-    matching complements).  The mask becomes one 0/1 byte per edge id up
-    to its top bit (``_mask_bits``); a step is one turn-table lookup and a
-    read of its lower exit y's byte (``_turns`` lists y < z, one of them on
-    the mask, so y is in range).  Each cycle starts on its lowest edge's
-    dart ``2*e``, as ``_one_cycle`` does, and is oriented by
-    ``canonical_cycle``'s comparison: cycles come out canonical, in order
-    of their lowest edge."""
+    must meet exactly two of its edges, and the map's ids must be
+    non-negative, or the walk need not end, may raise IndexError, or may
+    return a wrong cover (a negative id's byte is read from the end):
+    callers check with ``_one_cycle`` or ``_two_factor_mask``, or build
+    2-factors (closure successors, oracle matching complements); only
+    ``validate_map`` reports a map's negative ids.  The mask becomes one
+    0/1 byte per edge id up to its top bit (``_mask_bits``); a step is one
+    turn-table lookup and a read of its lower exit y's byte (``_turns``
+    lists y < z, one of them on the mask, so y is in range).  Each cycle
+    starts on its lowest edge's dart ``2*e``, as ``_one_cycle`` does, and
+    is oriented by ``canonical_cycle``'s comparison, so cycles are found
+    canonical in order of their first edges and sort stably by length."""
     turns = m._turns
     bits = bytearray(_mask_bits(mask))
     cycles = []
@@ -428,22 +432,9 @@ def walk_cycles(m: CubicMap, mask: int) -> list[Cycle]:
             else:
                 x, d = z, dz
         bits[e] = 0
-        if walk[-1] < walk[1]:
-            walk[1:] = walk[:0:-1]
-        cycles.append(tuple(walk))
+        cycles.append((e, *walk[:0:-1]) if walk[-1] < walk[1] else tuple(walk))
         e = bits.find(1, e)
-    return cycles
-
-
-def mask_cover(m: CubicMap, mask: int) -> Cover:
-    """The canonical cover formed by a 2-regular spanning edge mask."""
-    return _sorted_cover(walk_cycles(m, mask))
-
-
-def _sorted_cover(walks: list[Cycle]) -> Cover:
-    """Walked cycles in canonical cover order, (length, sequence): they come
-    in order of their distinct first edges, so a stable sort by length is it."""
-    return tuple(sorted(walks, key=len))
+    return tuple(sorted(cycles, key=len))
 
 
 def _edge_set_mask(m: CubicMap, edges: Iterable[int], error: type[Exception]) -> int:
@@ -530,10 +521,10 @@ def decompose_two_factor(m: CubicMap, on_edges: Iterable[int]) -> Cover:
     """Partition a 2-regular spanning edge set into its cycles.
 
     Every vertex of the map must have exactly two incident edges in the
-    set (NotTwoRegular otherwise).  Cycles come out canonical, sorted by
-    (length, sequence).
+    set (NotTwoRegular otherwise).  The set's walk (``walk_cycles``) is
+    the canonical cover: cycles canonical, sorted by (length, sequence).
     """
-    return mask_cover(m, _two_factor_mask(m, on_edges, NotTwoRegular))
+    return walk_cycles(m, _two_factor_mask(m, on_edges, NotTwoRegular))
 
 
 def canonical_cover(cover: Iterable[Sequence[int]]) -> Cover:
@@ -547,8 +538,8 @@ def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
 
     Raises InvalidCover unless the cycles, as edge sets, are pairwise
     vertex-disjoint even cycles that together cover the whole map.  One
-    degree check covers all the given edges, one walk splits their union
-    into cycles, and the walked cycles must be the given ones as edge sets:
+    degree check covers all the given edges, and the walk of their union,
+    the canonical cover returned, must hold the given cycles as edge sets:
     edge order is not checked, so the cube's ``(1, 10, 9, 11)`` comes back
     as the walked ``(1, 9, 10, 11)``.
     """
@@ -563,4 +554,4 @@ def check_cover(m: CubicMap, cover: Iterable[Sequence[int]]) -> Cover:
     for walk in walks:
         if len(walk) % 2 != 0:
             raise InvalidCover(f"cycle {walk} has odd length {len(walk)}")
-    return _sorted_cover(walks)
+    return walks

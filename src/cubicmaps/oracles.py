@@ -9,7 +9,7 @@ labelling is a perfect matching plus a split of its 2-factor complement
 into two more).  The matching search is their one search.  They exist to
 *check* the fast path, so they share none of its search or pick logic
 (the closure's step, ``growth``), only what both read: ``walk_cycles``,
-the edge-mask conversions, the cover sort and ``_to_labellings``.
+the edge-mask conversions and ``_to_labellings``.
 
 Input contract: every edge has two distinct ends (``CubicMap.edge_vertices``
 raises NotTwoRegular otherwise), so matchings are found on any loop-free
@@ -22,8 +22,8 @@ over the cap.
 Work that depends only on the map is done once per map.  After their one
 degree check, both the cover and the labelling enumerator read the
 matchings through ``_even_complements``, which walks each matching's
-complement, a spanning 2-factor, unchecked into canonical cycles and keeps
-the all-even walks; the cover enumerator only sorts them.
+complement, a spanning 2-factor, unchecked into its canonical cover and
+keeps the all-even ones; the cover enumerator sorts the covers it gets.
 The shared-cycle check gives every (cover, cycle) slot one bit and every
 edge the mask of the slots that hold it, so a face pair shares a cycle
 iff its masks meet.
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator
 
 from .closure import cover_closure
 from .errors import CapExceeded
-from .incidence import Cover, CubicMap, Cycle, _sorted_cover, edge_mask, mask_edges, walk_cycles
+from .incidence import Cover, CubicMap, edge_mask, mask_edges, walk_cycles
 from .labelling import Labelling, _to_labellings
 from .serialize import map_fingerprint
 
@@ -122,9 +122,9 @@ def all_perfect_matchings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[f
     return tuple(map(frozenset, sorted(map(mask_edges, _matchings(m)))))
 
 
-def _even_complements(m: CubicMap, masks: Iterable[int]) -> Iterator[tuple[int, list[Cycle]]]:
-    """``(mask, cycles)`` for each perfect matching mask whose complement,
-    walked unchecked into canonical cycles, has only even cycles (Tait).
+def _even_complements(m: CubicMap, masks: Iterable[int]) -> Iterator[tuple[int, Cover]]:
+    """``(mask, cover)`` for each perfect matching mask whose complement,
+    walked unchecked into its canonical cover, has only even cycles (Tait).
     The caller's degree check makes every complement a spanning 2-factor."""
     for mask in masks:
         cycles = walk_cycles(m, m._all_mask ^ mask)
@@ -137,13 +137,13 @@ def all_even_cycle_covers(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[C
 
     After the cap check, the map's turn table checks that every vertex
     meets three distinct edges (NotTwoRegular otherwise), which makes the
-    complement of every perfect matching a spanning 2-factor.  Each
-    all-even complement is kept, sorted (``_even_complements``).
+    complement of every perfect matching a spanning 2-factor.  The covers
+    of the all-even complements are sorted (``_even_complements``).
     """
     _check_cap(m, cap)
     m._turns  # the degree check
     matchings = map(edge_mask, all_perfect_matchings(m, cap))
-    return tuple(sorted(_sorted_cover(cycles) for _, cycles in _even_complements(m, matchings)))
+    return tuple(sorted(cover for _, cover in _even_complements(m, matchings)))
 
 
 def all_proper_labellings(m: CubicMap, cap: int = DEFAULT_ORACLE_CAP) -> tuple[Labelling, ...]:
