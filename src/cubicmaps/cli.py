@@ -66,12 +66,13 @@ def _load_valid(args, seeded: bool = False):
 
 
 def _write(path, text: str = "", steps=None) -> None:
-    """Write ``text``, or the trace of ``steps``; any OSError exits 2."""
+    """Write ``text``, or the trace of ``steps``; any OSError exits 2.  With
+    neither, probe the path: append nothing, so an existing file is kept."""
     try:
         if steps is not None:
             write_trace(steps, path)
         else:
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "w" if text else "a", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         raise _CliFailure(2, f"cannot write {path}: {exc}") from exc

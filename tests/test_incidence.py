@@ -5,6 +5,7 @@ import pkgutil
 import random
 import sys
 import typing
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -253,24 +254,24 @@ def test_face_row_naming_an_edge_no_vertex_lists_is_reported():
     assert validate_map(m) == ["face row 2 lists edges [99] that no vertex meets"]
 
 
-@pytest.mark.parametrize("bad", [-1, 1.5, True])
-def test_edge_ids_that_cannot_index_a_mask_are_reported(bad):
-    # the membership form of theta with edge 1 renamed; the face check's
-    # edge masks shift by edge id, so these ids are reported before it
-    m = CubicMap.from_membership({1: (bad, 2, 3), 2: (bad, 2, 3)}, {1: (bad, 2), 2: (2, 3)})
-    assert validate_map(m) == [f"edge ids [{bad!r}] are not non-negative integers"]
+@pytest.mark.parametrize("bad", [-1, 1.5, True, 1.0, "1"])
+def test_edge_ids_that_cannot_index_a_mask_are_rejected(bad, theta):
+    # edge masks shift by edge id, so the membership constructor refuses such
+    # an id in a vertex row, and in a face row alone, before any walk
+    with pytest.raises(ValueError, match="edge ids must be non-negative integers"):
+        CubicMap.from_membership({1: (bad, 2, 3), 2: (bad, 2, 3)}, {1: (bad, 2), 2: (2, 3)})
+    with pytest.raises(ValueError, match="edge ids must be non-negative integers"):
+        CubicMap.from_membership(theta.vertex_edges, {1: (bad, 2), 2: (2, 3)})
     # every function that turns given edges into a mask raises its own error
     # on such an id, never a bare ValueError from a negative shift
     with pytest.raises(InvalidCover, match="unknown edge id"):
-        check_cover(m, [(bad, 2)])
+        check_cover(theta, [(bad, 2)])
     with pytest.raises(InvalidCover, match="unknown edge id"):
-        cover_closure(m, [(bad, 2)])
+        cover_closure(theta, [(bad, 2)])
     with pytest.raises(NotACycle, match="unknown edge id"):
-        order_cycle(m, (bad, 2))
+        order_cycle(theta, (bad, 2))
     with pytest.raises(NotTwoRegular, match="unknown edge id"):
-        decompose_two_factor(m, (bad, 2))
-    with pytest.raises(MalformedFace, match="unknown edge id"):
-        face_boundary(m, 1)
+        decompose_two_factor(theta, (bad, 2))
 
 
 def _one_edge_corruptions(m):
@@ -287,6 +288,24 @@ def _one_edge_corruptions(m):
             else:
                 continue
             yield CubicMap.from_membership(m.vertex_edges, {**m.face_edges, f: changed})
+
+
+def _face_row_edits(m, rng, tries):
+    """Copies of ``m`` with 1-3 seeded face-row edits each, every edit
+    dropping an edge from a row, adding one to a row, or moving one between
+    rows.  Only copies in which each edge stays on one or two rows and no
+    row is empty are kept, so ``validate_map`` reaches the face check."""
+    for _ in range(tries):
+        rows = {f: set(row) for f, row in m.face_edges.items()}
+        for _ in range(rng.randint(1, 3)):
+            edit, e = rng.choice(("drop", "add", "move")), rng.choice(m.edge_ids)
+            if edit != "add":
+                rows[rng.choice(m.edge_internal_faces[e])].discard(e)
+            if edit != "drop":
+                rows[rng.choice(m.face_ids)].add(e)
+        counts = Counter(e for row in rows.values() for e in row)
+        if all(rows.values()) and all(counts[e] in (1, 2) for e in m.edge_ids):
+            yield CubicMap.from_membership(m.vertex_edges, rows)
 
 
 def _malformed_faces(m):
@@ -332,23 +351,36 @@ def test_face_walk_ends_and_agrees_with_the_degree_count():
     walk flags exactly the rows that the degree count and ``face_boundary``
     flag, at least one on every one-edge corruption.  Beyond those: cube
     face 2, (1, 9, 10, 11), plus edge 12, so vertex 1 meets three of its
-    edges (and the walk starts there), and minus edge 9, a path."""
+    edges (and the walk starts there), and minus edge 9, a path; and 1-3
+    seeded face-row edits of every reference map.  Wherever a vertex meets
+    1 or 3 external edges, a face line is reported, which is why
+    ``validate_map`` does not count a vertex's external edges."""
     grown, _ = random_insertion_walk(theta_map(), 8, random.Random(7))
     extra = [_cube_with_face_row(row) for row in ((1, 9, 10, 11, 12), (1, 10, 11))]
     suffix = " edges do not form one closed boundary"
-    tried = 0
+    rng = random.Random(35)
+    tried = odd = 0
     with _time_limit(10):
-        for m in (cube_map(), theta_map(), tetrahedron_map(), grown):
-            for broken in (*_one_edge_corruptions(m), *extra):
-                lines = [line for line in validate_map(broken) if line.endswith(suffix)]
-                assert lines == _face_lines_by_degree_count(broken)
-                faces = [int(line.removeprefix("face ").removesuffix(suffix)) for line in lines]
-                assert faces == _malformed_faces(broken)
-                assert faces
-                tried += 1
-    assert tried > 100
-    assert validate_map(extra[0])[-1] == "face 2" + suffix
-    assert validate_map(extra[1])[-1] == "face 2" + suffix
+        cases = [
+            (broken, True)
+            for m in (cube_map(), theta_map(), tetrahedron_map(), grown)
+            for broken in (*_one_edge_corruptions(m), *extra)
+        ]
+        cases += [(b, False) for m in REFERENCE_MAPS.values() for b in _face_row_edits(m, rng, 100)]
+        for broken, one_edge in cases:
+            report = validate_map(broken)
+            external = broken.external_edges
+            if any(len(external.intersection(es)) in (1, 3) for es in broken.vertex_edges.values()):
+                assert any(line.endswith(suffix) for line in report)
+                odd += 1
+            assert report == _face_lines_by_degree_count(broken)
+            faces = [int(line.removeprefix("face ").removesuffix(suffix)) for line in report]
+            assert faces == _malformed_faces(broken)
+            assert faces or not one_edge
+            tried += 1
+    assert tried > 500 and odd > 100
+    assert validate_map(extra[0]) == ["face 2" + suffix]
+    assert validate_map(extra[1]) == ["face 2" + suffix]
 
 
 def test_valid_maps_are_checked_without_face_boundary(monkeypatch):
