@@ -80,20 +80,26 @@ def insert_edge(
 
     Each target retires and its segments get fresh ids: two per target
     for distinct targets (H-insertion), three for equal targets, then the
-    new edge ``g``.  The face boundary is walked from ``e1``'s entry
-    vertex, subdividing the targets and placing the new vertices ``x`` and
-    then ``y`` at their inner points.  The walk from ``x`` to ``y`` plus
-    ``g`` becomes ``new_face`` (a bigon for equal targets); the rest plus
-    ``g`` keeps ``face``.
+    new edge ``g``.  Every new row follows from one boundary walk
+    (``face_boundary_walk``), with ``s1`` and ``s2`` the segments of ``e1``
+    and ``e2``, and ``walk`` the face's edges from ``e1``, ``e2`` at index
+    ``k`` (0 for equal targets):
+
+    - each target's entry vertex gets its first segment and its far end
+      its last; each face holding a target gets all its segments instead;
+    - the new vertices are ``x = {s1[0], s1[1], g}`` and
+      ``y = {s2[-2], s2[-1], g}``;
+    - ``new_face = {s1[1], *walk[1:k], s2[-2], g}``, the bigon
+      ``{s[1], g}`` for equal targets, and ``face`` keeps the rest,
+      ``{s2[-1], *walk[k + 1:], s1[0], g}``.
 
     Only the rows the insertion touches are rebuilt: the targets' ends,
     ``x`` and ``y``, the faces that hold a target, and ``new_face``.  Every
     other row of the new map is the parent's tuple, shared.
     """
-    walk = face_boundary_walk(m, face)
-    walk_edges = [e for _, e in walk]
+    entry = {e: v for v, e in face_boundary_walk(m, face)}  # in walk order
     for e in (e1, e2):
-        if e not in walk_edges:
+        if e not in entry:
             raise EdgeNotOnFace(f"edge {e} not on face {face}")
     # every constructor keeps the id registries sorted, so one past the
     # last entry of each is a fresh id (the walk found the face, so none
@@ -106,33 +112,24 @@ def insert_edge(
     segments = 3 if e1 == e2 else 2
     split = {e: tuple(islice(fresh, segments)) for e in dict.fromkeys((e1, e2))}
     g = next(fresh)
+    s1, s2 = split[e1], split[e2]
 
     vertex_sets = {v: set(m.vertex_edges[v]).difference(split) for old in split
                    for v in m.edge_vertices[old]}
-    vertex_sets[x], vertex_sets[y] = {g}, {g}
-    face_sets = {f: set(m.face_edges[f]) for old in split for f in m.edge_internal_faces[old]}
+    face_sets = {f: set(m.face_edges[f]).difference(split) for old in split
+                 for f in m.edge_internal_faces[old]}
     for old, segs in split.items():
+        vertex_sets[entry[old]].add(segs[0])
+        vertex_sets[m.other_endpoint(old, entry[old])].add(segs[-1])
         for f in m.edge_internal_faces[old]:
-            face_sets[f].remove(old)
             face_sets[f].update(segs)
-
-    i = walk_edges.index(e1)
-    inner = iter((x, y))
-    cut = []  # (entry vertex, edge) around the subdivided boundary
-    for v, e in walk[i:] + walk[:i]:
-        segs = split.get(e)
-        if segs is None:
-            cut.append((v, e))
-            continue
-        points = [v, *islice(inner, len(segs) - 1), m.other_endpoint(e, v)]
-        for k, seg in enumerate(segs):
-            vertex_sets[points[k]].add(seg)
-            vertex_sets[points[k + 1]].add(seg)
-            cut.append((points[k], seg))
-    entries = [v for v, _ in cut]
-    ix, iy = entries.index(x), entries.index(y)
-    face_sets[new_face] = {e for _, e in cut[ix:iy]} | {g}
-    face_sets[face] = {e for _, e in cut[iy:] + cut[:ix]} | {g}
+    vertex_sets[x], vertex_sets[y] = {*s1[:2], g}, {*s2[-2:], g}
+    edges = list(entry)
+    i = edges.index(e1)
+    walk = edges[i:] + edges[:i]
+    k = walk.index(e2)
+    face_sets[new_face] = {s1[1], *walk[1:k], s2[-2], g}
+    face_sets[face] = {s2[-1], *walk[k + 1:], s1[0], g}
 
     # fresh ids exceed every existing id, so appending them keeps id order
     new_map = CubicMap._from_rows(

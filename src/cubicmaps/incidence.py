@@ -40,8 +40,9 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class CubicMap:
-    """A cubic planar map with opaque vertex and face ids and non-negative
-    int edge ids, the bits of an edge mask (``from_membership`` checks them).
+    """A cubic planar map with non-negative int vertex, edge and face ids
+    (``from_membership`` checks them): edge ids are the bits of an edge
+    mask, and edge insertion mints one past the last id of each kind.
 
     ``vertex_edges`` and ``face_edges`` give each vertex and internal face
     its id-sorted edges; an edge listed twice, or a matrix entry above 1,
@@ -69,12 +70,12 @@ class CubicMap:
     def from_membership(cls, vertex_edges, face_edges) -> CubicMap:
         """Map from vertex -> incident edge ids and internal face ->
         boundary edge ids.  The keys are the vertex and face ids, and the
-        edge ids are the ones the vertices meet.  ValueError unless every
-        edge id, in a vertex or a face row, is a non-negative int."""
-        rows = [{k: tuple(es) for k, es in sorted(d.items())} for d in (vertex_edges, face_edges)]
-        if not all(type(e) is int and e >= 0 for row in rows for es in row.values() for e in es):
-            raise ValueError("edge ids must be non-negative integers")
-        vertex_edges, face_edges = ({k: tuple(sorted(es)) for k, es in row.items()} for row in rows)
+        edge ids are the ones the vertices meet.  ValueError, before any
+        sort, unless every key and row entry is a non-negative int."""
+        rows = [{k: tuple(es) for k, es in d.items()} for d in (vertex_edges, face_edges)]
+        if not all(type(i) is int and i >= 0 for r in rows for k in r for i in (k, *r[k])):
+            raise ValueError("vertex, edge and face ids must be non-negative integers")
+        vertex_edges, face_edges = ({k: tuple(sorted(r[k])) for k in sorted(r)} for r in rows)
         return cls._from_rows(
             vertex_edges, face_edges, tuple(sorted(set().union(*vertex_edges.values())))
         )
@@ -222,9 +223,7 @@ class CubicMap:
 
 def _matrix_rows(matrix) -> tuple[list, int]:
     """Rows and width of a non-empty rectangular matrix of integers 0..255,
-    given as nested lists or as an array; ValueError otherwise."""
-    if hasattr(matrix, "tolist"):
-        matrix = matrix.tolist()
+    given as nested lists or tuples; ValueError otherwise."""
     rows = (list, tuple)
     if not matrix or not isinstance(matrix, rows) or not all(isinstance(r, rows) for r in matrix):
         raise ValueError("incidence matrices must be two-dimensional")
@@ -488,8 +487,8 @@ def face_boundary_walk(m: CubicMap, face: int) -> list[tuple[int, int]]:
     entered at the vertex it shares with the last edge (the smaller one on
     a bigon, where the two edges share both); every later edge is entered
     at the far endpoint of the edge before it, so edge ``i`` runs from the
-    i-th entry vertex to the (i+1)-th.  Edge insertion reads the walk
-    direction through each target from it.
+    i-th entry vertex to the (i+1)-th.  Edge insertion reads each target's
+    entry vertex from it.
     """
     cyc = face_boundary(m, face)
     v = min(set(m.edge_vertices[cyc[0]]) & set(m.edge_vertices[cyc[-1]]))

@@ -84,6 +84,27 @@ def test_insertion_shares_the_rows_it_does_not_touch(start, face, e1, e2):
     assert set(m.face_ids) > touched_faces  # some face row is shared
 
 
+def test_every_insertion_on_every_reference_map_is_sound():
+    # insert_edge writes its rows by formula; check them by properties on
+    # every (face, a, b) of face_pairs, both orders, on every reference map
+    for m in reference_maps().values():
+        for face, a, b in face_pairs(m):
+            for e1, e2 in ((a, b), (b, a))[: 1 + (a != b)]:
+                m2, ev = insert_edge(m, face, e1, e2)
+                assert validate_map(m2) == []
+                g, (x, y) = ev.new_edge, ev.new_vertices
+                s1, s2 = ev.split_edges[e1], ev.split_edges[e2]
+                kept, new = set(m2.face_edges[face]), set(m2.face_edges[ev.new_face])
+                assert kept & new == {g}
+                segments = {s for segs in ev.split_edges.values() for s in segs}
+                assert (kept | new) - {g} == set(m.face_edges[face]) - {e1, e2} | segments
+                for v, segs in ((x, s1), (y, s2)):
+                    row = set(m2.vertex_edges[v])
+                    assert g in row and len(row & set(segs)) == 2
+                if e1 == e2:
+                    assert new == {s1[1], g}
+
+
 def test_insert_rejects_foreign_edge(cube):
     with pytest.raises(EdgeNotOnFace):
         insert_edge(cube, 4, 3, 9)  # edge 9 lies on faces 2 and 3 only

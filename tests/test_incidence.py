@@ -254,14 +254,21 @@ def test_face_row_naming_an_edge_no_vertex_lists_is_reported():
     assert validate_map(m) == ["face row 2 lists edges [99] that no vertex meets"]
 
 
-@pytest.mark.parametrize("bad", [-1, 1.5, True, 1.0, "1"])
+@pytest.mark.parametrize("bad", [-1, 1.5, True, 1.0, "1", "v1", "outer"])
 def test_edge_ids_that_cannot_index_a_mask_are_rejected(bad, theta):
     # edge masks shift by edge id, so the membership constructor refuses such
-    # an id in a vertex row, and in a face row alone, before any walk
-    with pytest.raises(ValueError, match="edge ids must be non-negative integers"):
+    # an id in a vertex row, and in a face row alone, before any walk; it
+    # refuses such a vertex or face key too, before any sort, since insertion
+    # mints one past the last key and the outer face's key is OUTER
+    message = "vertex, edge and face ids must be non-negative integers"
+    with pytest.raises(ValueError, match=message):
         CubicMap.from_membership({1: (bad, 2, 3), 2: (bad, 2, 3)}, {1: (bad, 2), 2: (2, 3)})
-    with pytest.raises(ValueError, match="edge ids must be non-negative integers"):
+    with pytest.raises(ValueError, match=message):
         CubicMap.from_membership(theta.vertex_edges, {1: (bad, 2), 2: (2, 3)})
+    with pytest.raises(ValueError, match=message):
+        CubicMap.from_membership({bad: (1, 2, 3), 2: (1, 2, 3)}, theta.face_edges)
+    with pytest.raises(ValueError, match=message):
+        CubicMap.from_membership(theta.vertex_edges, {bad: (1, 2), 2: (2, 3)})
     # every function that turns given edges into a mask raises its own error
     # on such an id, never a bare ValueError from a negative shift
     with pytest.raises(InvalidCover, match="unknown edge id"):
