@@ -49,7 +49,8 @@ class CubicMap:
     stays listed twice, so ``validate_map`` can report it.  These rows are
     the map: ``matrix_rows()`` builds the two incidence matrices back from
     them, rows and columns id-sorted.  Every constructor keeps the id
-    registries ``vertex_ids``, ``edge_ids`` and ``face_ids`` sorted.
+    registries ``vertex_ids``, ``edge_ids`` and ``face_ids`` sorted; the one
+    edge registry holds every edge id a row names, or every matrix column.
     Instances are immutable after construction; every operation that
     changes the map returns a new instance, so values can be shared freely
     across threads.
@@ -62,40 +63,37 @@ class CubicMap:
         self._set_members(
             {v: _members(row) for v, row in enumerate(ve, start=1)},
             {f: _members(row) for f, row in enumerate(fe, start=1)},
-            tuple(range(1, width + 1)),
-            tuple(range(1, face_width + 1)),
+            tuple(range(1, max(width, face_width) + 1)),
         )
 
     @classmethod
     def from_membership(cls, vertex_edges, face_edges) -> CubicMap:
         """Map from vertex -> incident edge ids and internal face ->
         boundary edge ids.  The keys are the vertex and face ids, and the
-        edge ids are the ones the vertices meet.  ValueError, before any
-        sort, unless every key and row entry is a non-negative int."""
+        edge ids every id a row names.  ValueError, before any sort,
+        unless every key and row entry is a non-negative int."""
         rows = [{k: tuple(es) for k, es in d.items()} for d in (vertex_edges, face_edges)]
         if not all(type(i) is int and i >= 0 for r in rows for k in r for i in (k, *r[k])):
             raise ValueError("vertex, edge and face ids must be non-negative integers")
+        edge_ids = tuple(sorted({e for r in rows for es in r.values() for e in es}))
         vertex_edges, face_edges = ({k: tuple(sorted(r[k])) for k in sorted(r)} for r in rows)
-        return cls._from_rows(
-            vertex_edges, face_edges, tuple(sorted(set().union(*vertex_edges.values())))
-        )
+        return cls._from_rows(vertex_edges, face_edges, edge_ids)
 
     @classmethod
     def _from_rows(cls, vertex_edges: Members, face_edges: Members, edge_ids) -> CubicMap:
         """The constructor core: the map of rows already in the constructed
         form (keys in id order, each row an id-sorted tuple) and the sorted
-        ids of the edges the vertices meet.  The row dicts are kept, not
-        copied, so a caller may share unchanged rows with another map."""
+        ids of every edge a row names.  The row dicts are kept, not copied,
+        so a caller may share unchanged rows with another map."""
         m = cls.__new__(cls)
-        m._set_members(vertex_edges, face_edges, edge_ids, edge_ids)
+        m._set_members(vertex_edges, face_edges, edge_ids)
         return m
 
-    def _set_members(self, vertex_edges, face_edges, edge_ids, face_columns):
+    def _set_members(self, vertex_edges, face_edges, edge_ids):
         self.vertex_edges: Members = vertex_edges
         self.face_edges: Members = face_edges
         self.vertex_ids, self.face_ids = tuple(vertex_edges), tuple(face_edges)
         self.edge_ids = edge_ids
-        self._face_columns = face_columns  # edge ids of the face-edge columns
 
     # -- sizes ---------------------------------------------------------
 
@@ -117,7 +115,7 @@ class CubicMap:
         """The vertex-edge and face-edge matrices as lists of rows."""
         return (
             _incidence_rows(self.vertex_edges, self.edge_ids),
-            _incidence_rows(self.face_edges, self._face_columns),
+            _incidence_rows(self.face_edges, self.edge_ids),
         )
 
     # -- derived adjacency (valid maps only) ---------------------------
@@ -222,8 +220,8 @@ class CubicMap:
 
 
 def _matrix_rows(matrix) -> tuple[list, int]:
-    """Rows and width of a non-empty rectangular matrix of integers 0..255,
-    given as nested lists or tuples; ValueError otherwise."""
+    """Rows and width of a non-empty rectangular matrix of non-negative
+    integers (nested lists or tuples); ValueError otherwise."""
     rows = (list, tuple)
     if not matrix or not isinstance(matrix, rows) or not all(isinstance(r, rows) for r in matrix):
         raise ValueError("incidence matrices must be two-dimensional")
@@ -233,8 +231,8 @@ def _matrix_rows(matrix) -> tuple[list, int]:
             raise ValueError("incidence matrix rows differ in length")
         for x in row:
             # bool is an int subclass, and JSON true is not a matrix entry
-            if type(x) is not int or not 0 <= x <= 255:
-                raise ValueError(f"incidence matrix entry {x!r} is not an integer in 0..255")
+            if type(x) is not int or x < 0:
+                raise ValueError(f"incidence matrix entry {x!r} is not a non-negative integer")
     return matrix, width
 
 
@@ -271,29 +269,20 @@ def _transpose(members: Members, ids: tuple[int, ...]) -> Members:
 
 def validate_map(m: CubicMap) -> list[str]:
     """Report each violation, in stages that run when the ones before pass:
-    non-empty 0/1 matrices of one width; face rows of edges a vertex meets;
-    vertex and edge degrees, one or two face rows per edge, Euler's formula;
+    non-empty 0/1 matrices; vertex and edge degrees (an id that meets no
+    vertex has 0 ends), one or two face rows per edge, Euler's formula;
     each face row one closed boundary (``_one_cycle``).  A row that passes
     meets each of its vertices twice, so none is on 1 or 3 external edges.
 
     An empty report means the map is valid.  Nothing is raised: a report
     is data, not a failure.
     """
-    widths = (m.n_edges, len(m._face_columns))
-    if 0 in (m.n_vertices, m.n_internal_faces, *widths):
+    if 0 in (m.n_vertices, m.n_internal_faces, m.n_edges):
         return ["incidence matrices must be non-empty"]
     report: list[str] = []
     for kind, rows in (("vertex", m.vertex_edges), ("face", m.face_edges)):
         if any(len(set(es)) != len(es) for es in rows.values()):
             report.append(f"{kind}-edge matrix has entries outside {{0,1}}")
-    if widths[0] != widths[1]:
-        report.append(f"face-edge matrix has {widths[1]} columns, vertex-edge has {widths[0]}")
-    if report:
-        return report
-    for f, edges in m.face_edges.items():
-        unknown = [e for e in edges if e not in m._edge_ends]
-        if unknown:
-            report.append(f"face row {f} lists edges {unknown} that no vertex meets")
     if report:
         return report
 

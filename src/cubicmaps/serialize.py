@@ -62,9 +62,9 @@ def map_from_document(doc: Document) -> tuple[CubicMap, tuple[tuple[int, ...], .
     No structural validation happens here: invalid maps must load so the
     validator can report on them.  Raises ValueError on malformed JSON
     shape only: a missing matrix key, a matrix that is not a 2-D array of
-    small non-negative integers, or cycles that ``cycles_from_json``
-    rejects.  A missing ``cycles`` key means no cycles; ``null``, ``{}``,
-    ``0`` and ``""`` are malformed cycles like any other non-list.
+    non-negative integers, or cycles that ``cycles_from_json`` rejects.  A
+    missing ``cycles`` key means no cycles; ``null``, ``{}``, ``0`` and
+    ``""`` are malformed cycles like any other non-list.
     """
     try:
         ve = doc["vertex_edge"]

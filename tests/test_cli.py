@@ -1,8 +1,10 @@
 import hashlib
 import inspect
 import json
+import random
 import shutil
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,7 +22,7 @@ from cubicmaps.serialize import (
     trace_documents,
 )
 
-from conftest import prism, random_insertion_walk
+from conftest import _time_limit, prism, random_insertion_walk
 
 
 @pytest.fixture
@@ -333,6 +335,7 @@ def _wider_face_edge(doc):
 MUTATIONS = {
     "edge_with_three_endpoints": (_add_third_endpoint, (1, 1, 1, 1, 1, 1)),
     "vertex_edge_entry_two": (lambda d: d["vertex_edge"][0].__setitem__(0, 2), (1, 1, 1, 1, 1, 1)),
+    "vertex_edge_entry_256": (lambda d: d["vertex_edge"][0].__setitem__(0, 256), (1, 1, 1, 1, 1, 1)),
     "negative_entry": (lambda d: d["vertex_edge"][0].__setitem__(0, -1), (2, 2, 2, 2, 2, 2)),
     "ragged_rows": (lambda d: d["vertex_edge"][0].pop(), (2, 2, 2, 2, 2, 2)),
     "stray_face_one": (_stray_face_one, (1, 1, 1, 1, 1, 1)),
@@ -375,8 +378,13 @@ REPORTS = {
     "no_cycles": [],
     "stray_face_one": ["face 1 edges do not form one closed boundary"],
     "unknown_cycle_edge": [],
+    "vertex_edge_entry_256": ["vertex-edge matrix has entries outside {0,1}"],
     "vertex_edge_entry_two": ["vertex-edge matrix has entries outside {0,1}"],
-    "wider_face_edge": ["face-edge matrix has 13 columns, vertex-edge has 12"],
+    "wider_face_edge": [
+        "edge column 13 has 0 ones in vertex-edge (expected 2)",
+        "edge column 13 has 0 ones in face-edge (expected 1 or 2)",
+        "Euler check failed: V=8 - E=13 + F=5+1 != 2",
+    ],
 }
 
 # relative --out paths land in the test's working directory
@@ -458,3 +466,63 @@ def test_deeply_nested_documents_exit_2(text, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err.count("cannot read map document") == len(COMMANDS)
     assert "Traceback" not in out + err
+
+
+def _edit_matrix(doc, rng):
+    """One seeded edit of one matrix: flip a bit, append or drop a column,
+    add or drop a row, or set an entry to a value that is not 0 or 1."""
+    rows = doc[rng.choice(("vertex_edge", "face_edge"))]
+    width = len(rows[0]) if rows else 0
+    kind = rng.choice(("flip", "column", "row", "entry"))
+    if kind == "column" and rng.random() < 0.5:
+        for row in rows:
+            row.append(rng.randrange(2))
+    elif kind == "column" and width:
+        j = rng.randrange(width)
+        for row in rows:
+            del row[j]
+    elif kind == "row" and rng.random() < 0.5:
+        rows.insert(rng.randrange(len(rows) + 1), [rng.randrange(2) for _ in range(width)])
+    elif kind == "row" and rows:
+        del rows[rng.randrange(len(rows))]
+    elif kind in ("flip", "entry") and width:
+        row, j = rng.choice(rows), rng.randrange(width)
+        row[j] = int(row[j] != 1) if kind == "flip" else rng.choice((2, 256, -1, 1.5, True))
+
+
+def _edit_cycles(doc, rng):
+    """One seeded edit of a ``cycles`` id: drop, repeat or replace it."""
+    cycle = rng.choice(doc["cycles"])
+    if cycle:
+        i, kind = rng.randrange(len(cycle)), rng.choice(("drop", "repeat", "replace"))
+        if kind == "drop":
+            del cycle[i]
+        elif kind == "repeat":
+            cycle.insert(i, cycle[i])
+        else:
+            cycle[i] = rng.choice((99, -1, 1.5))
+
+
+def test_seeded_document_mutations_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    """200 bundled map documents with 1-3 seeded edits each, through every
+    command: each exit is 0, 1, 2 or 4, nothing escapes ``main`` and no
+    traceback is printed.  The exit counts are pinned."""
+    texts = [
+        path.read_text()
+        for path in sorted(fixture_path("cube.json").parent.glob("*.json"))
+        if "vertex_edge" in json.loads(path.read_text())
+    ]
+    rng = random.Random(37)
+    path = tmp_path / "mutated.json"
+    monkeypatch.chdir(tmp_path)
+    exits = Counter()
+    with _time_limit(20):
+        for _ in range(200):
+            doc = json.loads(rng.choice(texts))
+            for _ in range(rng.randint(1, 3)):
+                (_edit_cycles if rng.random() < 0.25 else _edit_matrix)(doc, rng)
+            path.write_text(json.dumps(doc))
+            exits.update(main([*command, "--input", str(path)]) for command in COMMANDS)
+    assert "Traceback" not in "".join(capsys.readouterr())
+    assert set(exits) <= {0, 1, 2, 4}
+    assert exits == {0: 17, 1: 871, 2: 312}

@@ -60,7 +60,7 @@ def test_single_bit_corruption_is_reported(cube):
 
 
 def test_non_binary_entries_are_reported(theta):
-    for entry in (2, 255):
+    for entry in (2, 255, 256, 300, 10**30):
         ve, fe = theta.matrix_rows()
         ve[0][0] = entry
         m = CubicMap(ve, fe)
@@ -250,8 +250,14 @@ def test_face_boundary_unknown_face(cube):
 
 
 def test_face_row_naming_an_edge_no_vertex_lists_is_reported():
+    # edge 99 is registered by its face row, and reported by its missing ends
     m = CubicMap.from_membership({1: (1, 2, 3), 2: (1, 2, 3)}, {1: (1, 2), 2: (2, 99)})
-    assert validate_map(m) == ["face row 2 lists edges [99] that no vertex meets"]
+    assert m.edge_ids == (1, 2, 3, 99)
+    assert validate_map(m) == [
+        "edge column 99 has 0 ones in vertex-edge (expected 2)",
+        "edge column 3 has 0 ones in face-edge (expected 1 or 2)",
+        "Euler check failed: V=2 - E=4 + F=2+1 != 2",
+    ]
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, True, 1.0, "1", "v1", "outer"])

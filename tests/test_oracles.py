@@ -29,6 +29,7 @@ from cubicmaps.fixtures import (
     tetrahedron_seed,
     theta_map,
 )
+from cubicmaps.growth import growth_step
 from cubicmaps.labelling import canonical_labelling
 from cubicmaps.oracles import _search_order, face_pairs
 from cubicmaps.serialize import load_map
@@ -424,3 +425,48 @@ def test_shared_cycle_witness_matches_compatible_cover(name):
         expected = _reference_shared_cycle_witness(m, subset)
         assert report.witness == expected
         assert report.holds == (expected is None)
+
+
+def _renamed(m, rng):
+    """``m`` with its vertex, edge and face ids drawn without replacement
+    from ``range(5000)``, so their order is not kept, and the edge renaming."""
+    v, e, f = (
+        dict(zip(ids, rng.sample(range(5000), len(ids))))
+        for ids in (m.vertex_ids, m.edge_ids, m.face_ids)
+    )
+    renamed = CubicMap.from_membership(
+        {v[k]: [e[x] for x in es] for k, es in m.vertex_edges.items()},
+        {f[k]: [e[x] for x in es] for k, es in m.face_edges.items()},
+    )
+    return renamed, e
+
+
+def _as_sets(results, ids):
+    """Covers or labellings as a set of frozensets of edge-id frozensets,
+    each edge id mapped through ``ids``."""
+    return {frozenset(frozenset(map(ids.__getitem__, part)) for part in r) for r in results}
+
+
+@pytest.mark.parametrize("name", REFERENCE_MAPS)
+def test_renaming_ids_renames_every_result(name):
+    """Metamorphic relation: renaming every id of a map renames its closure,
+    labellings, Hamiltonian subset and both oracles' results, and nothing
+    else, though the new ids sort in another order."""
+    m = REFERENCE_MAPS[name]
+    covers, labellings = all_even_cycle_covers(m), all_proper_labellings(m)
+    step = growth_step(m, covers[0])
+    same = {x: x for x in m.edge_ids}
+    rng = random.Random(37)
+    for _ in range(3):
+        renamed, e = _renamed(m, rng)
+        back = {new: old for old, new in e.items()}
+        assert validate_map(m) == validate_map(renamed) == []
+        renamed_step = growth_step(renamed, [[e[x] for x in c] for c in covers[0]])
+        for got, want in [
+            (renamed_step.covers, step.covers),
+            (renamed_step.labellings, step.labellings),
+            (renamed_step.hamiltonian, step.hamiltonian),
+            (all_even_cycle_covers(renamed), covers),
+            (all_proper_labellings(renamed), labellings),
+        ]:
+            assert _as_sets(got, back) == _as_sets(want, same)

@@ -39,12 +39,12 @@ def test_document_round_trip(cube):
     [
         lambda ve: [ve[0][:-1]] + ve[1:],
         lambda ve: [[-1, *ve[0][1:]], *ve[1:]],
-        lambda ve: [[300, *ve[0][1:]], *ve[1:]],
+        lambda ve: [[1.5, *ve[0][1:]], *ve[1:]],
         lambda ve: ve[0],
         lambda ve: 1,
         lambda ve: [],
     ],
-    ids=["ragged_rows", "entry_minus_one", "entry_300", "one_dimensional", "scalar", "empty_list"],
+    ids=["ragged_rows", "entry_minus_one", "entry_float", "one_dimensional", "scalar", "empty_list"],
 )
 def test_malformed_matrix_raises_value_error(mutate):
     doc = json.loads(fixture_path("cube.json").read_text())
