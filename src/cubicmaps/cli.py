@@ -26,15 +26,7 @@ from .oracles import (
     check_shared_cycle,
     compare_cover_sets,
 )
-from .serialize import (
-    _record_json,
-    canonical_json,
-    load_map,
-    map_to_document,
-    to_dot,
-    trace_documents,
-    write_trace,
-)
+from .serialize import _closure_json, canonical_json, load_map, map_to_document, to_dot, write_trace
 
 
 class _CliFailure(Exception):
@@ -101,9 +93,7 @@ def cmd_enumerate(args) -> int:
         f"{len(step.labellings)} labellings"
     )
     if args.out:
-        doc = trace_documents([step])[0]
-        doc = {key: doc[key] for key in ("covers", "labellings", "hamiltonian")}
-        _write(args.out, _record_json(doc) + "\n")
+        _write(args.out, _closure_json(step) + "\n")
     return 0
 
 

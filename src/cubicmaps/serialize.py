@@ -6,16 +6,17 @@ row i / column j belong to the i-th vertex id / j-th edge id in sorted
 order, so a document is always written with ids renumbered to 1..n.
 
 A growth trace is one line per step: the compact, key-sorted JSON of the
-step's record (``canonical_json``), so its bytes are fixed.  The writer
-builds each line from per-tuple fragments instead of encoding every slot.
+step's record (``canonical_json``), so its bytes are fixed.  Each line is
+encoded as its record is built, from one JSON fragment per distinct edge
+tuple instead of one encoding per slot.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .incidence import Cover, CubicMap
 
@@ -88,40 +89,70 @@ def map_fingerprint(m: CubicMap) -> str:
 # Growth traces (JSON lines, one record per step)
 # ---------------------------------------------------------------------
 
-_CLASS_KEYS = ("class_1", "class_2", "class_3")
+def _array(items) -> str:
+    return "[" + ",".join(items) + "]"
 
 
-def trace_documents(steps) -> list[Document]:
-    """One trace record per step.
+def _object(members) -> str:
+    """A JSON object from ``(key, JSON text)`` pairs, keys sorted as in
+    ``canonical_json``; keys are plain ASCII names."""
+    return "{" + ",".join([f'"{key}":{text}' for key, text in sorted(members)]) + "}"
+
+
+def _edges_json(emap: IdMap):
+    """Edge tuple -> its JSON fragment in ``emap``'s positional ids, such as
+    ``[3,7,9]``.  Each id's text is made once, and each distinct tuple is
+    encoded once, for the one record that ``emap`` numbers."""
+    text = {e: str(i) for e, i in emap.items()}
+    return functools.cache(lambda edges: _array([text[e] for e in edges]))
+
+
+_LABELLING_JSON = '{{"class_1":{},"class_2":{},"class_3":{}}}'.format
+
+
+def _closure_members(step, edges) -> list[tuple[str, str]]:
+    """The ``covers``, ``hamiltonian`` and ``labellings`` of a step as
+    ``(key, JSON text)`` pairs, each edge tuple through ``edges``."""
+
+    def covers(cs) -> str:
+        return _array([_array(map(edges, cover)) for cover in cs])
+
+    labellings = _array([_LABELLING_JSON(*map(edges, lab)) for lab in step.labellings])
+    return [("covers", covers(step.covers)), ("hamiltonian", covers(step.hamiltonian)),
+            ("labellings", labellings)]
+
+
+def _closure_json(step) -> str:
+    """``canonical_json`` of a step's ``covers``, ``hamiltonian`` and
+    ``labellings``: the three keys of its trace record."""
+    _, emap, _ = positional_ids(step.map)
+    return _object(_closure_members(step, _edges_json(emap)))
+
+
+def trace_documents(steps) -> Iterator[str]:
+    """Yield one trace record per step, as its ``canonical_json`` text.
 
     Edge ids in the map/covers/labellings are the step's positional ids;
     the insertion's ``face``/``targets`` (and split keys) use the
     *previous* record's ids, while its minted ids use the current ones.
 
-    Each distinct edge tuple (a cycle or a labelling class) is translated
-    once per record, and every slot holding it shares that immutable
-    tuple, which encodes like a list.  Labellings must be canonical, as
-    from ``closure_labellings``: positional ids keep the id order, so the
+    Each record is encoded as it is built: each distinct edge tuple (a
+    cycle or a labelling class) is translated and encoded once per record
+    (``_edges_json``).  Labellings must be canonical, as from
+    ``closure_labellings``: positional ids keep the id order, so the
     translated classes stay sorted.
     """
-    docs = []
     prev_emap = prev_fmap = None
     for index, step in enumerate(steps):
         vmap, emap, fmap = positional_ids(step.map)
-        distinct = set(chain(step.cover, *step.covers, *step.labellings, *step.hamiltonian))
-        positional = {edges: tuple([emap[e] for e in edges]) for edges in distinct}.__getitem__
-        doc: Document = {
-            "step": index,
-            "map": map_to_document(step.map),
-            "covers": [list(map(positional, cover)) for cover in step.covers],
-            "labellings": [dict(zip(_CLASS_KEYS, map(positional, lab))) for lab in step.labellings],
-            "hamiltonian": [list(map(positional, cover)) for cover in step.hamiltonian],
-            "insertion": None,
-        }
-        doc["map"]["cycles"] = list(map(positional, step.cover))
+        edges = _edges_json(emap)
+        ve, fe = step.map.matrix_rows()
+        map_json = _object([("vertex_edge", canonical_json(ve)), ("face_edge", canonical_json(fe)),
+                            ("cycles", _array(map(edges, step.cover)))])
+        insertion = None
         ev = step.event
         if ev is not None:
-            doc["insertion"] = {
+            insertion = {
                 "face": prev_fmap[ev.face],
                 "targets": [prev_emap[e] for e in ev.targets],
                 "new_vertices": [vmap[v] for v in ev.new_vertices],
@@ -132,79 +163,19 @@ def trace_documents(steps) -> list[Document]:
                 },
                 "new_face": fmap[ev.new_face],
             }
-        docs.append(doc)
+        yield _object([("step", str(index)), ("map", map_json),
+                       ("insertion", canonical_json(insertion)),
+                       *_closure_members(step, edges)])
         prev_emap, prev_fmap = emap, fmap
-    return docs
-
-
-_LABELLING_JSON = '{{"class_1":{},"class_2":{},"class_3":{}}}'.format
-
-
-class _DecimalText(dict):
-    """Int -> its decimal text, each ``str`` made once per process.
-
-    Only exact ints enter: ``True`` stored under the key 1 would make every
-    later 1 encode as ``True``.  A value equal to a stored int (``True``,
-    ``1.0``) reads that int's text; edge ids are ints.  Trace ids are
-    positional, so the table holds about as many entries as the largest
-    map written has edges."""
-
-    def __missing__(self, n) -> str:
-        text = str(n)
-        if type(n) is int:
-            self[n] = text
-        return text
-
-
-_decimal = _DecimalText().__getitem__
-
-
-def _record_json(doc: Document) -> str:
-    """``canonical_json(doc)`` for a trace-shaped document: a record of
-    ``trace_documents``, or a subset of its keys.
-
-    ``covers`` and ``hamiltonian`` are lists of covers (lists of edge
-    tuples), and each ``labellings`` entry holds exactly the three class
-    keys; every other key goes through ``canonical_json``.  Each distinct
-    edge tuple is encoded once per record, as a fragment such as
-    ``[3,7,9]``; edge ids are ints, whose JSON is their ``str``, read from
-    a table that makes each id's text once (``_DecimalText``).
-    """
-    # Keyed by id(): trace_documents gives every slot of one distinct tuple
-    # the same tuple object, and doc keeps every tuple alive while it is
-    # encoded, so no id can be reused by another tuple meanwhile.
-    memo: dict[int, str] = {}
-
-    def edges(t) -> str:
-        text = memo.get(id(t))
-        if text is None:
-            text = memo[id(t)] = "[" + ",".join(map(_decimal, t)) + "]"
-        return text
-
-    def cover(c) -> str:
-        return "[" + ",".join(map(edges, c)) + "]"
-
-    def labelling(lab) -> str:
-        return _LABELLING_JSON(edges(lab["class_1"]), edges(lab["class_2"]), edges(lab["class_3"]))
-
-    def covers(cs) -> str:
-        return "[" + ",".join(map(cover, cs)) + "]"
-
-    def labellings(labs) -> str:
-        return "[" + ",".join(map(labelling, labs)) + "]"
-
-    encode = {"covers": covers, "hamiltonian": covers, "labellings": labellings}
-    parts = (f"{canonical_json(key)}:{encode.get(key, canonical_json)(doc[key])}"
-             for key in sorted(doc))
-    return "{" + ",".join(parts) + "}"
 
 
 def write_trace(steps, path) -> None:
-    """Write one JSON line per step: ``canonical_json`` of each record of
-    ``trace_documents(steps)``, so identical steps give identical bytes."""
+    """Write one JSON line per step, each record of ``trace_documents(steps)``
+    as it is yielded, so identical steps give identical bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in trace_documents(steps):
-            fh.write(_record_json(doc) + "\n")
+        for record in trace_documents(steps):
+            fh.write(record)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------

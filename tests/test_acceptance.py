@@ -70,7 +70,7 @@ from cubicmaps.fixtures import (
     theta_seed,
     wheel_rotation,
 )
-from cubicmaps.serialize import canonical_json, trace_documents, write_trace
+from cubicmaps.serialize import canonical_json, write_trace
 
 CORPUS_SEEDS = range(1, 101)
 CORPUS_ITERATIONS = 14  # theta grows from 3 to 45 edges
@@ -199,16 +199,17 @@ def corpus():
 
 def _trace_sha256(runs, tmp_path) -> str:
     """sha256 of the trace files ``write_trace`` writes for each run in turn
-    (each run is a list of growth steps).  ``canonical_json`` of each run's
-    ``trace_documents`` must give the same bytes."""
-    written, documents = hashlib.sha256(), hashlib.sha256()
+    (each run is a list of growth steps).  Every line written must be the
+    ``canonical_json`` of the record it parses to."""
+    written = hashlib.sha256()
     path = tmp_path / "trace.jsonl"
     for steps in runs:
         write_trace(steps, path)
-        written.update(path.read_bytes())
-        for doc in trace_documents(steps):
-            documents.update((canonical_json(doc) + "\n").encode())
-    assert written.hexdigest() == documents.hexdigest()
+        data = path.read_bytes()
+        written.update(data)
+        lines = data.decode().splitlines()
+        assert len(lines) == len(steps)
+        assert all(line == canonical_json(json.loads(line)) for line in lines)
     return written.hexdigest()
 
 

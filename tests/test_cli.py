@@ -75,13 +75,15 @@ def test_enumerate_cube(cube_file, capsys, tmp_path):
     assert len(doc["labellings"]) == 4
 
 
-@pytest.mark.parametrize("name", ["cube", "two_kempe_classes"])
+@pytest.mark.parametrize(
+    "name", ["cube", "theta", "tetrahedron", "two_kempe_classes", "non_hamiltonian_16"]
+)
 def test_enumerate_out_is_canonical_json_of_the_trace_subset(name, tmp_path):
     path = fixture_path(f"{name}.json")
     out = tmp_path / "enum.json"
     assert main(["enumerate", "--input", str(path), "--out", str(out)]) == 0
     m, cycles = load_map(path)
-    record = trace_documents([growth_step(m, check_cover(m, cycles))])[0]
+    record = json.loads(next(trace_documents([growth_step(m, check_cover(m, cycles))])))
     subset = {key: record[key] for key in ("covers", "labellings", "hamiltonian")}
     assert out.read_bytes() == (canonical_json(subset) + "\n").encode()
 

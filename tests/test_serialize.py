@@ -2,11 +2,19 @@ import json
 
 import pytest
 
-from cubicmaps import CubicMap, grow, map_from_document, map_to_document, serialize, to_dot
+from cubicmaps import (
+    CubicMap,
+    check_cover,
+    grow,
+    insert_edge,
+    map_from_document,
+    map_to_document,
+    to_dot,
+    validate_labelling,
+)
 from cubicmaps.fixtures import cube_map, cube_seed, fixture_path, theta_map, theta_seed
 from cubicmaps.serialize import (
-    _DecimalText,
-    _record_json,
+    _closure_json,
     canonical_json,
     load_map,
     map_fingerprint,
@@ -24,6 +32,18 @@ def cube_42_steps():
     steps = grow(cube_map(), cube_seed(), iterations=20, rng_seed=42)
     m = steps[-1].map
     assert max(m.edge_ids) > m.n_edges
+    return steps
+
+
+@pytest.fixture(scope="module")
+def theta_93_steps():
+    """Theta seed 93 grown 14 times: parallel edges and bigon faces, which
+    the cube runs never have, and closures without a Hamiltonian cycle."""
+    steps = grow(theta_map(), theta_seed(), iterations=14, rng_seed=93)
+    assert any(len(set(map(frozenset, step.map.edge_vertices.values()))) < step.map.n_edges
+               for step in steps)
+    assert any(len(es) == 2 for step in steps for es in step.map.face_edges.values())
+    assert [i for i, step in enumerate(steps) if not step.hamiltonian] == [12, 13]
     return steps
 
 
@@ -88,7 +108,7 @@ def test_fingerprint_is_invariant_under_renumbering():
 
 
 def test_labelling_document_shape(cube_42_steps):
-    record = json.loads(canonical_json(trace_documents(cube_42_steps)[-1]))
+    record = json.loads(list(trace_documents(cube_42_steps))[-1])
     assert record["labellings"]
     for lab in record["labellings"]:
         assert list(lab) == ["class_1", "class_2", "class_3"]
@@ -135,96 +155,73 @@ def _reference_record(index, step, prev_emap, prev_fmap):
     return doc
 
 
-def test_write_trace_matches_edge_by_edge_reference(cube_42_steps, tmp_path):
-    lines = []
-    prev_emap = prev_fmap = None
-    for i, step in enumerate(cube_42_steps):
-        lines.append(canonical_json(_reference_record(i, step, prev_emap, prev_fmap)) + "\n")
-        _, prev_emap, prev_fmap = positional_ids(step.map)
+def test_write_trace_matches_edge_by_edge_reference(cube_42_steps, theta_93_steps, tmp_path):
+    for steps in (cube_42_steps, theta_93_steps):
+        lines = []
+        prev_emap = prev_fmap = None
+        for i, step in enumerate(steps):
+            lines.append(canonical_json(_reference_record(i, step, prev_emap, prev_fmap)) + "\n")
+            _, prev_emap, prev_fmap = positional_ids(step.map)
+        path = tmp_path / "trace.jsonl"
+        write_trace(steps, path)
+        written = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        yielded = [record + "\n" for record in trace_documents(steps)]
+        for expected in (lines, yielded):
+            # compared record by record: a diff of megabyte lines would not end
+            differ = [i for i, (a, b) in enumerate(zip(written, expected)) if a != b]
+            assert len(written) == len(expected) == len(steps), len(steps)
+            assert not differ, f"records {differ} of {len(steps)} differ"
+
+
+@pytest.mark.parametrize("run", ["cube_42_steps", "theta_93_steps"])
+def test_trace_reads_back(run, request, tmp_path):
+    """The written trace alone replays its growth: ``insert_edge`` on record
+    k - 1's map at record k's face and targets gives record k's matrices
+    and minted ids, and every record's cycles, covers, labellings and
+    Hamiltonian covers hold on its own map."""
     path = tmp_path / "trace.jsonl"
-    write_trace(cube_42_steps, path)
-    written = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    # the acceptance digests hash trace_documents: tie them to the bytes written
-    documents = [canonical_json(d) + "\n" for d in trace_documents(cube_42_steps)]
-    for expected in (lines, documents):
-        # compared record by record: a diff of megabyte lines would not end
-        differ = [i for i, (a, b) in enumerate(zip(written, expected)) if a != b]
-        assert len(written) == len(expected) == 21 and not differ, f"records {differ} differ"
+    write_trace(request.getfixturevalue(run), path)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    maps = [map_from_document(record["map"]) for record in records]
+    for (prev, _), record in zip(maps, records[1:]):
+        ins = record["insertion"]
+        m, ev = insert_edge(prev, ins["face"], *ins["targets"])
+        doc = map_to_document(m)
+        assert [doc["vertex_edge"], doc["face_edge"]] == [
+            record["map"]["vertex_edge"], record["map"]["face_edge"]], record["step"]
+        vmap, emap, fmap = positional_ids(m)
+        replayed = {
+            "new_vertices": [vmap[v] for v in ev.new_vertices],
+            "new_edge": emap[ev.new_edge],
+            "new_face": fmap[ev.new_face],
+            "split_edges": {str(old): [emap[e] for e in segs]
+                            for old, segs in ev.split_edges.items()},
+        }
+        assert replayed == {key: ins[key] for key in replayed}, record["step"]
+    for (m, cycles), record in zip(maps, records):
+        check_cover(m, cycles)
+        for cover in record["covers"]:
+            check_cover(m, cover)
+        assert all(validate_labelling(m, lab.values()) for lab in record["labellings"])
+        for cover in record["hamiltonian"]:
+            assert len(cover) == 1 and check_cover(m, cover), record["step"]
 
 
-@pytest.fixture(scope="module")
-def grow_cube_documents(cube_42_steps):
-    """The records of the benchmark's three traced runs: cube seeds 42, 13
-    and 16, grown 20 times each."""
+def test_records_are_canonical_json(cube_42_steps):
+    """Every record of the benchmark's three traced runs (cube seeds 42, 13
+    and 16, grown 20 times each), and every step's ``enumerate --out``
+    document, is the ``canonical_json`` of what it parses to."""
     runs = [cube_42_steps] + [grow(cube_map(), cube_seed(), iterations=20, rng_seed=seed)
                               for seed in (13, 16)]
-    return [doc for steps in runs for doc in trace_documents(steps)]
-
-
-def _hand_built_records():
-    """Trace-shaped documents that growth does not produce: empty lists, no
-    insertion, equal tuples that are distinct objects, one tuple object in
-    every kind of slot, the ``enumerate --out`` subset, and ids at each
-    digit-count boundary up to three digits, a 13-digit id and a negative one."""
-    equal = (1, 2, 3)
-    twin = tuple([1, 2, 3])
-    assert equal == twin and equal is not twin
-    shared, rest = (1, 2, 3, 4), (5, 6)
-    digits, negative = (0, 9, 10, 99, 100, 10**12), (-3, 0)
-    empty_map = {"vertex_edge": [], "face_edge": [], "cycles": []}
-    return [
-        {"step": 0, "map": empty_map, "covers": [], "labellings": [], "hamiltonian": [],
-         "insertion": None},
-        {"step": 1, "map": dict(empty_map, cycles=[equal]), "covers": [[equal], [twin]],
-         "labellings": [{"class_1": twin, "class_2": equal, "class_3": (4,)}],
-         "hamiltonian": [[twin]], "insertion": None},
-        {"step": 2, "map": dict(empty_map, cycles=[shared, rest]), "covers": [[shared, rest]],
-         "labellings": [{"class_1": rest, "class_2": shared, "class_3": shared}],
-         "hamiltonian": [[shared]],
-         "insertion": {"face": 1, "targets": [2, 2], "new_vertices": [7, 8], "new_edge": 9,
-                       "split_edges": {"2": [2, 10, 11]}, "new_face": 3}},
-        {"covers": [[shared, rest]], "labellings": [{"class_1": rest, "class_2": shared,
-                                                     "class_3": shared}],
-         "hamiltonian": []},
-        {"covers": [[digits, negative]], "labellings": [{"class_1": digits, "class_2": negative,
-                                                         "class_3": (10**12, -3)}],
-         "hamiltonian": [[negative]]},
-    ]
-
-
-def test_record_json_is_canonical_json(grow_cube_documents):
-    subsets = [{key: doc[key] for key in ("covers", "labellings", "hamiltonian")}
-               for doc in grow_cube_documents]
-    documents = grow_cube_documents + subsets + _hand_built_records()
-    differ = [i for i, doc in enumerate(documents) if _record_json(doc) != canonical_json(doc)]
-    assert len(grow_cube_documents) == 63 and not differ, f"documents {differ} differ"
-
-
-def test_a_bool_or_float_id_does_not_change_how_ints_encode(monkeypatch):
-    """The decimal table keeps exact ints only: a dict stores ``True`` under
-    the key 1 (and 4.0 under 4), so one record holding them would make every
-    later 1 (or 4) encode as their text.  A fresh table, so the keys are
-    not already there."""
-    monkeypatch.setattr(serialize, "_decimal", _DecimalText().__getitem__)
-    _record_json({"covers": [[(True, 4.0)]]})
-    doc = {"covers": [[(1, 4)]], "labellings": [{"class_1": (1,), "class_2": (4,), "class_3": (1, 4)}],
-           "hamiltonian": [[(4, 1)]]}
-    assert _record_json(doc) == canonical_json(doc)
-
-
-def test_trace_documents_share_one_object_per_distinct_tuple(cube_42_steps):
-    """``write_trace`` encodes each tuple object once per record, so its
-    speed rests on this sharing; the bytes would stay right without it."""
-    for doc in trace_documents(cube_42_steps):
-        slots = [t for cover in doc["covers"] + doc["hamiltonian"] for t in cover]
-        slots += [t for lab in doc["labellings"] for t in lab.values()]
-        slots += doc["map"]["cycles"]
-        assert len({id(t) for t in slots}) == len(set(slots)), doc["step"]
+    records = [record for steps in runs for record in trace_documents(steps)]
+    texts = records + [_closure_json(step) for steps in runs for step in steps]
+    differ = [i for i, text in enumerate(texts) if text != canonical_json(json.loads(text))]
+    assert len(records) == 63 and not differ, f"texts {differ} differ"
 
 
 def test_trace_documents_reference_consistent_ids():
     steps = grow(theta_map(), theta_seed(), iterations=4, rng_seed=2)
-    docs = trace_documents(steps)
+    docs = [json.loads(record) for record in trace_documents(steps)]
     assert [d["step"] for d in docs] == [0, 1, 2, 3, 4]
     assert docs[0]["insertion"] is None
     for prev, doc in zip(docs, docs[1:]):
